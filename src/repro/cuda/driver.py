@@ -33,6 +33,37 @@ from repro.gpusim.device import Device
 from repro.sass.encoding import decode_module
 from repro.sass.assembler import assemble
 from repro.sass.program import Kernel, SassModule
+from repro.utils.cache import evict_oldest
+
+
+# Decoded module images, keyed by image content (SASS text or cubin bytes).
+# A campaign loads the same images once per injection run, so each image is
+# assembled once per process.  Bounded: the oldest image is dropped once
+# more than this many distinct images are loaded.
+MODULE_CACHE_SIZE = 32
+_MODULE_CACHE: dict[str | bytes, SassModule] = {}
+
+
+def _load_image(image: str | bytes, name: str) -> SassModule:
+    """A fresh module for ``image``, assembling or decoding it at most once.
+
+    Each call returns new :class:`Kernel` objects (so per-load state — NVBit
+    function records, tool bookkeeping, in-place instruction rewrites —
+    never crosses loads) over the cached, never-mutated instruction objects
+    (so the block compiler's identity-keyed tables hit across loads).
+    """
+    template = _MODULE_CACHE.get(image)
+    if template is None:
+        if isinstance(image, bytes):
+            template = decode_module(image, name=name)
+        else:
+            template = assemble(image, module_name=name)
+        evict_oldest(_MODULE_CACHE, MODULE_CACHE_SIZE)
+        _MODULE_CACHE[image] = template
+    module = SassModule(name=name)
+    for kernel in template:
+        module.add(kernel.fresh_copy())
+    return module
 
 
 class CudaEvent(enum.Enum):
@@ -121,11 +152,9 @@ class CudaDriver:
         self, image: str | bytes, name: str = "<module>", is_library: bool = False
     ) -> CudaModule:
         """Load a module from SASS text or a binary cubin blob."""
-        if isinstance(image, bytes):
-            sass = decode_module(image, name=name)
-        else:
-            sass = assemble(image, module_name=name)
-        module = CudaModule(sass=sass, name=name, is_library=is_library)
+        module = CudaModule(
+            sass=_load_image(image, name), name=name, is_library=is_library
+        )
         self.modules.append(module)
         self._dispatch(CudaEvent.MODULE_LOAD, module, is_exit=False)
         self._dispatch(CudaEvent.MODULE_LOAD, module, is_exit=True)

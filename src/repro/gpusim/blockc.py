@@ -38,14 +38,15 @@ totals are byte-identical with block compilation on or off.
 Caching is two-level.  The expensive part — partitioning plus
 ``compile()`` of the generated source — is cached process-globally, keyed
 on :func:`content_fingerprint` (a hash of every instruction's canonical
-text plus resolved branch targets), so the thousands of per-run kernel
-objects a campaign assembles from the same source pay codegen once.  The
-cheap part — binding a kernel instance's handler table and instruction
-objects into block functions — is cached on the kernel object and
-validated against the *identity* of every instruction (strong references
-are held, so ids cannot be reused), which also fixes the historical
-``_gpusim_handlers`` staleness bug where an in-place rewrite of equal
-length kept serving the old dispatch table.
+text plus resolved branch targets), so kernel objects built from the same
+source pay codegen once.  The cheap part — binding a handler table and
+instruction objects into block functions — is cached on the kernel object
+and in a bounded process-wide table, both validated against the
+*identity* of every instruction (strong references are held, so ids
+cannot be reused).  Loads of one module image share instruction objects,
+so each run's fresh kernels hit the process-wide table.  Identity keying
+also fixes the historical ``_gpusim_handlers`` staleness bug where an
+in-place rewrite of equal length kept serving the old dispatch table.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ from repro.gpusim.exec_units import (
     reads_clock,
 )
 from repro.sass.operands import Imm, Pred, Reg
+from repro.sass.program import count_registers
+from repro.utils.cache import evict_oldest
 
 # Must equal the SM scheduling quantum (repro.gpusim.sm imports it from
 # here): a block longer than one slice could never run whole, and capping
@@ -707,44 +710,76 @@ class Block:
 
 
 class CompiledKernel:
-    """Per-kernel-instance execution tables.
+    """Execution tables for one instruction sequence.
 
     ``table`` is the per-pc dispatch table (handler / :func:`_CONTROL` /
     ``None``); ``blocks`` maps each block-start pc to its :class:`Block`
     (``None`` elsewhere, or entirely ``None`` when blocks were not
-    requested).  ``instructions`` holds strong references to the exact
-    instruction objects the code was bound to, making the identity check
-    in :func:`compiled_for` sound (a freed id could otherwise be reused).
+    requested); ``num_regs`` sizes the warps' register files.
+    ``instructions`` holds strong references to the exact instruction
+    objects the code was bound to, making the identity check in
+    :func:`compiled_for` sound (a freed id could otherwise be reused).
     """
 
-    __slots__ = ("ids", "fingerprint", "table", "blocks", "instructions")
+    __slots__ = (
+        "ids", "fingerprint", "table", "blocks", "num_blocks", "num_regs",
+        "instructions",
+    )
 
     def __init__(self, ids, fingerprint, table, blocks, instructions) -> None:
         self.ids = ids
         self.fingerprint = fingerprint
         self.table = table
         self.blocks = blocks
+        self.num_blocks = 0 if blocks is None else sum(
+            1 for block in blocks if block is not None
+        )
+        self.num_regs = count_registers(instructions)
         self.instructions = instructions
 
-    @property
-    def num_blocks(self) -> int:
-        return 0 if self.blocks is None else sum(
-            1 for block in self.blocks if block is not None
-        )
+
+# Process-global tables keyed on instruction identity.  Module loads share
+# their instruction objects across loads of one image (repro.cuda.driver),
+# so every run's fresh kernel objects find the tables built for the first
+# run here instead of re-fingerprinting and re-binding.  Each entry holds
+# its instructions alive, so its key cannot be reused by other objects.
+# Bounded: the oldest entry is dropped once more than this many are held.
+SHARED_TABLES_SIZE = 256
+_SHARED: dict[tuple[int, ...], CompiledKernel] = {}
+
+
+def _build(instructions, ids, want_blocks: bool) -> CompiledKernel:
+    table = build_table(instructions)
+    if not want_blocks:
+        return CompiledKernel(ids, None, table, None, instructions)
+    fingerprint = content_fingerprint(instructions)
+    layout = _CODE_CACHE.get(fingerprint)
+    if layout is None:
+        layout = _build_layout(instructions)
+        _CODE_CACHE[fingerprint] = layout
+    namespace = {"_T": table, "_I": instructions, "_C": layout.consts, "_NP": np}
+    exec(layout.code, namespace)
+    blocks: list = [None] * len(instructions)
+    for start, end in layout.spans:
+        blocks[start] = Block(start, end, namespace[f"_b{start}"])
+    return CompiledKernel(ids, fingerprint, table, blocks, instructions)
 
 
 def compiled_for(kernel, device=None, want_blocks: bool = True) -> CompiledKernel:
     """The (cached) compiled tables for a kernel instance.
 
-    Cached on the kernel object, validated against the identity of every
-    instruction — an in-place rewrite (even of equal length) rebuilds both
-    the dispatch table and the blocks.  With ``want_blocks=False`` only the
-    dispatch table is built (hooked launches and ``block_compile=False``
-    devices never pay codegen); a later ``want_blocks=True`` call upgrades
-    the cache entry in place.
+    Cached on the kernel object and process-wide, both validated against
+    the identity of every instruction — an in-place rewrite (even of equal
+    length) rebuilds both the dispatch table and the blocks.  With
+    ``want_blocks=False`` only the dispatch table is built (hooked launches
+    and ``block_compile=False`` devices never pay codegen); a later
+    ``want_blocks=True`` call upgrades the cache entry in place.
 
-    ``device`` (optional) receives the observability charges:
-    ``blockc_blocks_compiled`` and ``blockc_compile_seconds``.
+    ``device`` (optional) receives the observability charges each time
+    blocks are bound to a kernel instance: ``blockc_blocks_compiled`` and
+    ``blockc_compile_seconds``.  The charge is per instance, not per
+    codegen, so a run's count means "blocks bound for this run's launches"
+    whether or not an earlier run built the same tables.
     """
     instructions = tuple(kernel.instructions)
     ids = tuple(map(id, instructions))
@@ -753,29 +788,19 @@ def compiled_for(kernel, device=None, want_blocks: bool = True) -> CompiledKerne
         if cached.blocks is not None or not want_blocks:
             return cached
     started = perf_counter()
-    table = build_table(instructions)
-    if want_blocks:
-        fingerprint = content_fingerprint(instructions)
-        layout = _CODE_CACHE.get(fingerprint)
-        if layout is None:
-            layout = _build_layout(instructions)
-            _CODE_CACHE[fingerprint] = layout
-        namespace = {
-            "_T": table, "_I": instructions, "_C": layout.consts, "_NP": np,
-        }
-        exec(layout.code, namespace)
-        blocks: list | None = [None] * len(instructions)
-        for start, end in layout.spans:
-            blocks[start] = Block(start, end, namespace[f"_b{start}"])
-        compiled_count = len(layout.spans)
-    else:
-        fingerprint = None
-        blocks = None
-        compiled_count = 0
-    compiled = CompiledKernel(ids, fingerprint, table, blocks, instructions)
+    compiled = _SHARED.get(ids)
+    if compiled is None or (want_blocks and compiled.blocks is None):
+        compiled = _build(instructions, ids, want_blocks)
+        _SHARED.pop(ids, None)
+        evict_oldest(_SHARED, SHARED_TABLES_SIZE)
+        _SHARED[ids] = compiled
+    elif not want_blocks and compiled.blocks is not None:
+        # Tables only: leave the instance unbound, so the blocks are charged
+        # to the launch that first runs them.
+        return compiled
     kernel._gpusim_blockc = compiled
-    if device is not None and compiled_count:
-        device.blockc_blocks_compiled += compiled_count
+    if device is not None and compiled.num_blocks:
+        device.blockc_blocks_compiled += compiled.num_blocks
         device.blockc_compile_seconds += perf_counter() - started
     return compiled
 
@@ -788,5 +813,7 @@ def invalidate(kernel) -> None:
     function's instructions, and the identity check alone should not be
     the only line of defence.
     """
-    if getattr(kernel, "_gpusim_blockc", None) is not None:
+    cached = getattr(kernel, "_gpusim_blockc", None)
+    if cached is not None:
         kernel._gpusim_blockc = None
+        _SHARED.pop(cached.ids, None)

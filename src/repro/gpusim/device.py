@@ -211,7 +211,7 @@ class Device:
                         clock=lambda: self.instructions_executed,
                     )
                     try:
-                        sm.run_block(kernel, ctx, hooks, compiled.table, blocks)
+                        sm.run_block(kernel, ctx, hooks, compiled, blocks)
                     except WatchdogTimeout:
                         raise
                     except DeviceException as exc:

@@ -28,6 +28,7 @@ from repro.sass.instruction import Instruction
 from repro.sass.isa import WARP_SIZE
 from repro.sass.operands import ConstMem, Imm, MemRef, Pred, Reg, SpecialReg
 from repro.gpusim.warp import Warp
+from repro.mem.memory import check_words
 
 _U32 = np.uint32
 _LANES = np.arange(WARP_SIZE)
@@ -254,38 +255,53 @@ def _h_sel(warp, instr, mask):
     write_u32(warp, instr, np.where(p, a, b), mask)
 
 
+# Special-register readers.  Launch constants come from the shared
+# read-only ``_imm_array`` cache and ``SR_TID.*`` from the warp's read-only
+# thread-id rows, so an S2R allocates nothing; ``write_u32`` copies the
+# lanes into the destination register.  Only ``SR_CLOCK`` is read live.
+# The immediate cache grows by the distinct block, grid and warp indices
+# read, bounded by the largest launch geometry (and launch count, for
+# ``SR_GRIDID``).
+_LANES_U32 = _LANES.astype(_U32)
+_LANES_U32.flags.writeable = False
+
+
+def _launch_constant(field: str, axis: int | None = None):
+    if axis is None:
+        return lambda warp: _imm_array("u32", getattr(warp.ctx, field))
+    return lambda warp: _imm_array("u32", getattr(warp.ctx, field)[axis])
+
+
 _SREG_READERS = {
-    "SR_LANEID": lambda warp: _LANES.astype(_U32),
-    "SR_WARPID": lambda warp: np.full(WARP_SIZE, warp.warp_id, dtype=_U32),
-    "SRZ": lambda warp: np.zeros(WARP_SIZE, dtype=_U32),
+    "SR_TID.X": lambda warp: warp.tid_x,
+    "SR_TID.Y": lambda warp: warp.tid_y,
+    "SR_TID.Z": lambda warp: warp.tid_z,
+    "SR_CTAID.X": _launch_constant("ctaid", 0),
+    "SR_CTAID.Y": _launch_constant("ctaid", 1),
+    "SR_CTAID.Z": _launch_constant("ctaid", 2),
+    "SR_NTID.X": _launch_constant("ntid", 0),
+    "SR_NTID.Y": _launch_constant("ntid", 1),
+    "SR_NTID.Z": _launch_constant("ntid", 2),
+    "SR_NCTAID.X": _launch_constant("nctaid", 0),
+    "SR_NCTAID.Y": _launch_constant("nctaid", 1),
+    "SR_NCTAID.Z": _launch_constant("nctaid", 2),
+    "SR_SMID": _launch_constant("sm_id"),
+    "SR_GRIDID": _launch_constant("grid_id"),
+    "SR_CLOCK": lambda warp: np.full(
+        WARP_SIZE, warp.ctx.clock() & 0xFFFFFFFF, dtype=_U32
+    ),
+    "SR_LANEID": lambda warp: _LANES_U32,
+    "SR_WARPID": lambda warp: _imm_array("u32", warp.warp_id),
+    "SRZ": lambda warp: _imm_array("u32", 0),
 }
 
 
 def _read_special(warp: Warp, name: str) -> np.ndarray:
-    if name in _SREG_READERS:
-        return _SREG_READERS[name](warp)
-    ctx = warp.ctx
-    table = {
-        "SR_TID.X": warp.tid_x,
-        "SR_TID.Y": warp.tid_y,
-        "SR_TID.Z": warp.tid_z,
-        "SR_CTAID.X": np.full(WARP_SIZE, ctx.ctaid[0], dtype=_U32),
-        "SR_CTAID.Y": np.full(WARP_SIZE, ctx.ctaid[1], dtype=_U32),
-        "SR_CTAID.Z": np.full(WARP_SIZE, ctx.ctaid[2], dtype=_U32),
-        "SR_NTID.X": np.full(WARP_SIZE, ctx.ntid[0], dtype=_U32),
-        "SR_NTID.Y": np.full(WARP_SIZE, ctx.ntid[1], dtype=_U32),
-        "SR_NTID.Z": np.full(WARP_SIZE, ctx.ntid[2], dtype=_U32),
-        "SR_NCTAID.X": np.full(WARP_SIZE, ctx.nctaid[0], dtype=_U32),
-        "SR_NCTAID.Y": np.full(WARP_SIZE, ctx.nctaid[1], dtype=_U32),
-        "SR_NCTAID.Z": np.full(WARP_SIZE, ctx.nctaid[2], dtype=_U32),
-        "SR_SMID": np.full(WARP_SIZE, ctx.sm_id, dtype=_U32),
-        "SR_GRIDID": np.full(WARP_SIZE, ctx.grid_id, dtype=_U32),
-        "SR_CLOCK": np.full(WARP_SIZE, ctx.clock() & 0xFFFFFFFF, dtype=_U32),
-    }
-    try:
-        return table[name].astype(_U32)
-    except KeyError:
-        raise DeviceTrap(f"unsupported special register {name}") from None
+    """A special register's lane values (shared, read-only but for SR_CLOCK)."""
+    reader = _SREG_READERS.get(name)
+    if reader is None:
+        raise DeviceTrap(f"unsupported special register {name}")
+    return reader(warp)
 
 
 def _h_s2r(warp, instr, mask):
@@ -770,9 +786,7 @@ def _h_load_local(warp, instr, mask):
     if warp.local is None:
         raise MemoryViolation(0, 4, "local", "unmapped")
     addresses = _addresses(warp, instr.sources[0])
-    active = addresses[mask]
-    if active.size and ((active % 4 != 0).any() or (active < 0).any() or (active + 4 > warp.local_bytes).any()):
-        raise MemoryViolation(int(active[0]), 4, "local", "out-of-bounds")
+    check_words(addresses[mask], warp.local_bytes, "local")
     out = np.zeros(WARP_SIZE, dtype=_U32)
     lanes = np.nonzero(mask)[0]
     out[lanes] = warp.local[addresses[lanes] // 4, lanes]
@@ -783,9 +797,7 @@ def _h_store_local(warp, instr, mask):
     if warp.local is None:
         raise MemoryViolation(0, 4, "local", "unmapped")
     addresses = _addresses(warp, instr.sources[0])
-    active = addresses[mask]
-    if active.size and ((active % 4 != 0).any() or (active < 0).any() or (active + 4 > warp.local_bytes).any()):
-        raise MemoryViolation(int(active[0]), 4, "local", "out-of-bounds")
+    check_words(addresses[mask], warp.local_bytes, "local")
     values = read_raw(warp, instr.sources[1])
     lanes = np.nonzero(mask)[0]
     warp.local[addresses[lanes] // 4, lanes] = values[lanes]

@@ -8,10 +8,12 @@ the same dynamic instruction in the injection run.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import DeviceTrap
-from repro.gpusim.blockc import _CONTROL, MAX_BLOCK_LEN, compiled_for
+from repro.gpusim.blockc import _CONTROL, MAX_BLOCK_LEN, CompiledKernel, compiled_for
 from repro.gpusim.context import ExecContext, InstrSite
 from repro.gpusim.warp import Warp
 from repro.sass.isa import WARP_SIZE
@@ -56,28 +58,28 @@ class SM:
         kernel: Kernel,
         ctx: ExecContext,
         hooks: Hooks | None,
-        table: list | None = None,
+        compiled: CompiledKernel | None = None,
         blocks: list | None = None,
     ) -> None:
         """Execute one thread block to completion.
 
-        ``table``/``blocks`` are normally resolved once per launch by
+        ``compiled``/``blocks`` are normally resolved once per launch by
         :meth:`Device.launch` and passed in; direct callers may omit them
         and pay per-block resolution (cached on the kernel either way).
         ``blocks`` is only ever non-``None`` on hooks-free launches.
         """
-        warps = _build_warps(kernel, ctx)
-        self.device.warps_launched += len(warps)
-        instrs = kernel.instructions
-        if table is None:
+        if compiled is None:
             compiled = compiled_for(
                 kernel,
                 self.device,
                 want_blocks=self.device.block_compile and not hooks,
             )
-            table = compiled.table
             if not hooks and self.device.block_compile:
                 blocks = compiled.blocks
+        table = compiled.table
+        warps = _build_warps(kernel, ctx, compiled.num_regs)
+        self.device.warps_launched += len(warps)
+        instrs = kernel.instructions
         # Uninstrumented launches (the overwhelmingly common case: golden
         # runs, and every non-target launch of an injection run) take the
         # hooks-free fast path; ``not hooks`` also covers an empty dict.
@@ -219,15 +221,17 @@ class SM:
             self.device.divergence_depth_high_water = depth
 
 
-def _build_warps(kernel: Kernel, ctx: ExecContext) -> list[Warp]:
-    """Split a block's threads into warps with linearised thread ids.
+@lru_cache(maxsize=64)
+def _thread_layout(ntid: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Thread ids ``(3, num_warps, WARP_SIZE)`` and valid masks of a block.
 
-    All three thread-id components (and the valid mask) are built once for
-    the whole block — zero-padded to a warp multiple, then reshaped to
-    ``(num_warps, WARP_SIZE)`` — so each warp receives row views instead of
-    one ``np.concatenate`` per warp per component.
+    All three thread-id components (and the valid mask) are built once per
+    block shape — zero-padded to a warp multiple, then reshaped — so each
+    warp receives row views instead of one ``np.concatenate`` per warp per
+    component.  The arrays are shared by every block of that shape and are
+    therefore read-only: ``S2R SR_TID.*`` hands the rows out directly.
     """
-    bx, by, bz = ctx.ntid
+    bx, by, bz = ntid
     total = bx * by * bz
     num_warps = -(-total // WARP_SIZE)
     padded = num_warps * WARP_SIZE
@@ -240,15 +244,31 @@ def _build_warps(kernel: Kernel, ctx: ExecContext) -> list[Warp]:
     valid = np.zeros(padded, dtype=bool)
     valid[:total] = True
     valid = valid.reshape(num_warps, WARP_SIZE)
-    num_regs = kernel.num_regs
+    tid.flags.writeable = False
+    valid.flags.writeable = False
+    return tid, valid
+
+
+def _build_warps(
+    kernel: Kernel, ctx: ExecContext, num_regs: int | None = None
+) -> list[Warp]:
+    """Split a block's threads into warps with linearised thread ids.
+
+    ``num_regs`` is the kernel's register count, normally the memoized
+    :attr:`CompiledKernel.num_regs`; omitted, it is recomputed.
+    """
+    tid, valid = _thread_layout(tuple(ctx.ntid))
+    if num_regs is None:
+        num_regs = kernel.num_regs
+    local_bytes = kernel.local_bytes
     warps = []
-    for warp_id in range(num_warps):
+    for warp_id in range(len(valid)):
         warp = Warp(
             warp_id=warp_id,
             num_regs=num_regs,
             valid_mask=valid[warp_id],
             tid=(tid[0, warp_id], tid[1, warp_id], tid[2, warp_id]),
-            local_bytes=kernel.local_bytes,
+            local_bytes=local_bytes,
         )
         warp.ctx = ctx
         warps.append(warp)

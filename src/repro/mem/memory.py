@@ -9,6 +9,8 @@ early kernel termination plus a CUDA error + dmesg (Xid) record — the
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import MemoryViolation
@@ -27,6 +29,20 @@ PAGE_SHIFT = 8
 assert PAGE_SIZE % 8 == 0 and PAGE_SIZE == 1 << PAGE_SHIFT
 
 
+def check_words(active: np.ndarray, size: int, space: str) -> None:
+    """Bounds check for word accesses to a ``size``-byte linear space.
+
+    ``active`` holds the executing lanes' byte offsets in lane order; a
+    misaligned, negative or past-the-end offset raises ``out-of-bounds``
+    naming the first offending lane's offset.
+    """
+    if active.size == 0:
+        return
+    bad = (active % 4 != 0) | (active < 0) | (active + 4 > size)
+    if bad.any():
+        raise MemoryViolation(int(active[bad][0]), 4, space, "out-of-bounds")
+
+
 class GlobalMemory:
     """Device global memory: a flat byte array plus an allocation map."""
 
@@ -34,8 +50,7 @@ class GlobalMemory:
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
         self.allocator = Allocator(size)
-        self._starts = np.empty(0, dtype=np.int64)
-        self._ends = np.empty(0, dtype=np.int64)
+        self._rebuild_ranges()
         # Dirty-page tracking (repro.gpusim.replay): while a tracking window
         # is open, every write records the 256-byte pages it touches.  None
         # means tracking is off and the stores pay nothing.
@@ -113,8 +128,10 @@ class GlobalMemory:
             (start, start + size)
             for start, size in self.allocator._allocated.items()
         )
-        self._starts = np.array([s for s, _ in spans], dtype=np.int64)
-        self._ends = np.array([e for _, e in spans], dtype=np.int64)
+        self._start_list = [s for s, _ in spans]
+        self._end_list = [e for _, e in spans]
+        self._starts = np.array(self._start_list, dtype=np.int64)
+        self._ends = np.array(self._end_list, dtype=np.int64)
 
     # -- host (memcpy) access -----------------------------------------------
 
@@ -136,7 +153,31 @@ class GlobalMemory:
     # -- device (warp) access -------------------------------------------------
 
     def validate(self, addresses: np.ndarray, mask: np.ndarray, width: int) -> None:
-        """MMU check: alignment and membership in a live allocation."""
+        """MMU check: alignment and membership in a live allocation.
+
+        The common case — every lane aligned and inside one allocation —
+        is accepted with three reductions and one ``bisect``: if the
+        allocation holding the lowest address also covers the highest, it
+        covers every lane.  Anything else goes through the per-lane check,
+        which names the first offending lane.  ``width`` is a power of two,
+        so one OR over the lanes tests them all for alignment.
+        """
+        active = addresses[mask]
+        if active.size == 0:
+            return
+        slot = bisect_right(self._start_list, int(active.min())) - 1
+        if (
+            slot >= 0
+            and int(active.max()) + width <= self._end_list[slot]
+            and not int(np.bitwise_or.reduce(active)) & (width - 1)
+        ):
+            return
+        self.validate_lanes(addresses, mask, width)
+
+    def validate_lanes(
+        self, addresses: np.ndarray, mask: np.ndarray, width: int
+    ) -> None:
+        """Per-lane MMU check; raises for the first offending lane."""
         active = addresses[mask]
         if active.size == 0:
             return
@@ -242,10 +283,7 @@ class ConstantBank:
         return int(self.data.view(np.uint32)[offset // 4])
 
     def load32(self, offsets: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        active = offsets[mask]
-        if active.size:
-            if (active % 4 != 0).any() or (active < 0).any() or (active + 4 > self.size).any():
-                raise MemoryViolation(int(active[0]), 4, "constant", "out-of-bounds")
+        check_words(offsets[mask], self.size, "constant")
         out = np.zeros(offsets.shape, dtype=np.uint32)
         out[mask] = self.data.view(np.uint32)[offsets[mask] // 4]
         return out

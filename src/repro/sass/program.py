@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import AssemblyError
 from repro.sass.instruction import Instruction
 from repro.sass.operands import MemRef, Reg
+
+
+def count_registers(instructions) -> int:
+    """Highest GP register index an instruction sequence uses, plus one."""
+    highest = -1
+    for instr in instructions:
+        for reg in instr.dest_regs:
+            highest = max(highest, reg)
+        for op in instr.sources:
+            if isinstance(op, Reg) and not op.is_rz:
+                highest = max(highest, op.index)
+            if isinstance(op, MemRef) and op.reg is not None and op.reg != 255:
+                highest = max(highest, op.reg)
+    return highest + 1
 
 
 @dataclass
@@ -35,16 +49,19 @@ class Kernel:
     @property
     def num_regs(self) -> int:
         """Highest GP register index used, plus one (for register-file sizing)."""
-        highest = -1
-        for instr in self.instructions:
-            for reg in instr.dest_regs:
-                highest = max(highest, reg)
-            for op in instr.sources:
-                if isinstance(op, Reg) and not op.is_rz:
-                    highest = max(highest, op.index)
-                if isinstance(op, MemRef) and op.reg is not None and op.reg != 255:
-                    highest = max(highest, op.reg)
-        return highest + 1
+        return count_registers(self.instructions)
+
+    def fresh_copy(self) -> "Kernel":
+        """A new kernel over the same instruction objects.
+
+        The instruction list and label map are copied, so an in-place
+        rewrite of one copy's ``instructions`` never reaches another; the
+        :class:`Instruction` objects themselves are shared (nothing mutates
+        them after assembly).
+        """
+        return replace(
+            self, instructions=list(self.instructions), labels=dict(self.labels)
+        )
 
     def static_opcode_counts(self) -> dict[str, int]:
         """Static instruction histogram by mnemonic."""

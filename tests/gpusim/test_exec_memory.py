@@ -131,6 +131,24 @@ class TestLocalMemory:
         with pytest.raises(MemoryViolation, match="local"):
             device.launch(assemble(text).get("k"), 1, 1, [])
 
+    @pytest.mark.parametrize("op", ["LDL.32 R0, [R1]", "STL.32 [R1], R2"])
+    def test_oob_reports_offending_lane(self, device, op):
+        """Lane 0 is in range, lane 5 is not: the violation names lane 5's
+        offset, not the first active lane's."""
+        text = f"""
+.kernel k
+.local 16
+    S2R R3, SR_TID.X ;
+    ISETP.EQ P0, R3, 5 ;
+    SEL R1, 0x40, 0x4, P0 ;
+    {op} ;
+    EXIT ;
+"""
+        with pytest.raises(MemoryViolation) as info:
+            device.launch(assemble(text).get("k"), 1, 32, [])
+        assert info.value.address == 0x40
+        assert (info.value.space, info.value.reason) == ("local", "out-of-bounds")
+
 
 class TestConstants:
     def test_ldc(self, device):
@@ -142,6 +160,16 @@ class TestConstants:
         body = "    IADD R0, R50, c[0x0][0x4] ;"
         out = run_lanes(device, body, params=[1000])
         assert (out == LANES + 1000).all()
+
+    def test_ldc_oob_reports_offending_lane(self, device):
+        body = """
+    ISETP.EQ P0, R50, 5 ;
+    SEL R1, 0x2000, 0x4, P0 ;
+    LDC.32 R0, [R1] ;"""
+        with pytest.raises(MemoryViolation) as info:
+            run_lanes(device, body, params=[7])
+        assert info.value.address == 0x2000
+        assert (info.value.space, info.value.reason) == ("constant", "out-of-bounds")
 
 
 class TestAtomics:

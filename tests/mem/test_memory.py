@@ -255,3 +255,11 @@ class TestConstantBank:
         bank = ConstantBank()
         with pytest.raises(MemoryViolation):
             bank.read32(2)
+
+    def test_vector_load_reports_offending_lane(self):
+        bank = ConstantBank(size=64)
+        offsets = _lanes([0, 4, 8, 12, 16, 66, 2, 128])
+        with pytest.raises(MemoryViolation) as info:
+            bank.load32(offsets, _mask(8))
+        assert info.value.address == 66  # lane 5, not lane 0's offset 0
+        assert info.value.reason == "out-of-bounds"
