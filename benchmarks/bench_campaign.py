@@ -4,23 +4,22 @@ The repo's perf north-star is campaign throughput: NVBitFI's headline
 claim (paper §III-C, Figures 4–5) is that injection runs cost barely more
 than uninstrumented runs.  This benchmark measures a real transient
 campaign end-to-end (golden + profile + select + inject) across serial
-{full, pre-target replay, pre + tail replay, snapshot execution with a
-cold/warm replay cache, batched multi-fault passes, resumed}, and
-parallel {full, pre + tail, snapshot × {2, 8} workers, batch × 2
-workers} configurations — and persists the numbers to
+{full, pre-target replay, pre + tail replay, pre + tail with a cold/warm
+replay cache, resumed} and parallel {full, pre + tail, pre + tail with a
+warm cache × {2, 8} workers} configurations — and persists the numbers to
 ``BENCH_campaign.json`` at the repo root so the trajectory is tracked
 across PRs.
 
-Fast-forward, snapshot forking and the persistent replay cache (see
+Fast-forward and the persistent replay cache (see
 :mod:`repro.gpusim.replay`, :mod:`repro.core.snapshot` and
 ``docs/performance.md``) must never change results: every
 configuration's ``results.csv`` is asserted byte-identical against the
-serial full-simulation baseline — snapshot on/off, cache cold/warm,
+serial full-simulation baseline — cache cold/warm,
 serial/parallel/resumed, and the block-compiled execution tier on/off
-(the ``*-nobc`` rows re-run the full, snapshot and batch configurations
-with ``block_compile=False``) alike.  The tail rows additionally report how
-many faults re-converged with the golden run; snapshot rows report fork
-and cache counters.
+(the ``*-nobc`` rows re-run the full and warm-cache configurations with
+``block_compile=False``) alike.  The tail rows additionally report how
+many faults re-converged with the golden run; cached rows report cache
+counters.
 
 Knobs: ``REPRO_QUICK=1`` shrinks to a CI-smoke size (parity still
 asserted); ``REPRO_BENCH_WORKLOAD`` / ``REPRO_BENCH_FAULTS`` override the
@@ -36,10 +35,8 @@ import time
 from pathlib import Path
 
 from benchmarks.harness import campaign_seed, emit, quick_mode
-from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine, ParallelExecutor
-from repro.core.snapshot import SnapshotExecutor
 from repro.core.store import CampaignStore
 from repro.obs import MetricsRegistry
 from repro.utils.text import format_table
@@ -47,22 +44,11 @@ from repro.utils.text import format_table
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
 # Wall-clock floors on the default (late-kernel-heavy) campaign: pre-target
-# replay vs full simulation, the additional factor the tail must buy on
-# top of pre-target replay, the total the snapshot executor + warm
-# replay cache must clear (the PR-8 headline: past the previous 3.36x),
-# and the total the batched multi-fault pass must clear (this PR's
-# headline: strictly past the snapshot executor's previous 4.27x —
-# batching amortizes the per-group host run and tape replay into one
-# chained counting pass, and pipelines every fault's divergent suffix
-# against it as concurrent copy-on-write children).  The pipelined
-# children need a second CPU to actually overlap; on a single-CPU box
-# they serialize behind the pass and the batch row is held to the
-# snapshot bar instead.  Quick/CI runs are too small to amortize the
-# fixed phases, so they assert parity only.
+# replay vs full simulation, and the additional factor the tail must buy
+# on top of pre-target replay.  Quick/CI runs are too small to amortize
+# the fixed phases, so they assert parity only.
 _MIN_SPEEDUP = 2.0
 _MIN_TAIL_SPEEDUP = 1.3
-_MIN_SNAPSHOT_SPEEDUP = 3.36
-_MIN_BATCH_SPEEDUP = 4.27
 # 8-worker wall clock vs 2-worker, normalized by how many of those workers
 # the machine can actually run concurrently (min(workers, cpu_count)):
 # on a box with >= 8 CPUs this demands real scaling; on smaller boxes it
@@ -82,47 +68,28 @@ def _faults() -> int:
     return int(os.environ.get("REPRO_BENCH_FAULTS", "50"))
 
 
-def _config(fast_forward=True, tail=True, cache_dir=None, knobs=False,
-            block_compile=True):
+def _config(fast_forward=True, tail=True, cache_dir=None, block_compile=True):
     return CampaignConfig(
         workload=_workload(),
         num_transient=_faults(),
         seed=campaign_seed(),
         fast_forward=fast_forward,
         tail_fast_forward=tail,
-        # The "knob" rows exercise the CLI-level combination
-        # (--snapshot --batch-launch with no explicit executor): the
-        # engine's default-executor resolution must pick the batch path.
-        snapshot=knobs,
-        batch_launch=knobs,
         block_compile=block_compile,
         replay_cache=str(cache_dir) if cache_dir else None,
     )
 
 
-def _make_executor(kind, workers):
-    if kind == "batch":
-        return BatchExecutor(max_workers=workers)
-    if kind == "snapshot":
-        return SnapshotExecutor(max_workers=workers)
-    if workers:
-        return ParallelExecutor(max_workers=workers)
-    return None
-
-
 def _run_campaign(tmp_path, label, fast_forward, tail, workers,
-                  executor_kind="plain", cache_dir=None, block_compile=True):
+                  cache_dir=None, block_compile=True):
     """One full campaign; returns (seconds, counters-snapshot, results.csv)."""
     store_dir = tmp_path / label
     registry = MetricsRegistry()
     engine = CampaignEngine(
         _workload(),
-        _config(fast_forward, tail, cache_dir,
-                knobs=executor_kind == "knob-batch",
-                block_compile=block_compile),
+        _config(fast_forward, tail, cache_dir, block_compile=block_compile),
         store=CampaignStore(store_dir),
-        executor=(None if executor_kind == "knob-batch"
-                  else _make_executor(executor_kind, workers)),
+        executor=ParallelExecutor(max_workers=workers) if workers else None,
         metrics=registry,
     )
     started = time.perf_counter()
@@ -135,24 +102,17 @@ def _run_campaign(tmp_path, label, fast_forward, tail, workers,
 def _run_resumed(tmp_path, cache_dir):
     """Half the campaign, then a fresh engine resuming the same store.
 
-    Both halves run through the batched executor: a resumed campaign's
-    leftover indices regroup into (smaller) same-launch batches and the
+    Both halves run through the serial executor with a warm cache; the
     stitched results.csv must still match the serial baseline.
     """
     store_dir = tmp_path / "serial-resumed"
     first = CampaignEngine(
-        _workload(),
-        _config(cache_dir=cache_dir),
-        store=CampaignStore(store_dir),
-        executor=BatchExecutor(),
+        _workload(), _config(cache_dir=cache_dir), store=CampaignStore(store_dir)
     )
     first.plan_transient()
     first.run_batch(range(_faults() // 2))
     resumed = CampaignEngine(
-        _workload(),
-        _config(cache_dir=cache_dir),
-        store=CampaignStore(store_dir),
-        executor=BatchExecutor(),
+        _workload(), _config(cache_dir=cache_dir), store=CampaignStore(store_dir)
     )
     resumed.run_transient()
     return (store_dir / "results.csv").read_bytes()
@@ -160,28 +120,22 @@ def _run_resumed(tmp_path, cache_dir):
 
 def test_campaign_wall_clock(benchmark, tmp_path):
     matrix = [
-        # (executor, mode, fast_forward, tail_ff, workers, kind, cached, bc)
-        ("serial", "full", False, False, 0, "plain", False, True),
+        # (executor, mode, fast_forward, tail_ff, workers, cached, bc)
+        ("serial", "full", False, False, 0, False, True),
         # Same campaign with the block-compiled tier off: results.csv must
         # not move, and the default row above must not be slower.
-        ("serial", "full-nobc", False, False, 0, "plain", False, False),
-        ("serial", "ff", True, False, 0, "plain", False, True),
-        ("serial", "ff+tail", True, True, 0, "plain", False, True),
-        # Cold first, warm second: the cold row stores the golden tape the
-        # warm row (and the parallel snapshot rows below) replay.
-        ("serial", "snap+cache-cold", True, True, 0, "snapshot", True, True),
-        ("serial", "snap+cache-warm", True, True, 0, "snapshot", True, True),
-        ("serial", "snap-warm-nobc", True, True, 0, "snapshot", True, False),
-        # Batched multi-fault passes ride the warm cache: one counting
-        # pass per target launch, every same-launch fault forked off it.
-        ("serial", "batch+cache-warm", True, True, 0, "batch", True, True),
-        ("serial", "batch-warm-nobc", True, True, 0, "batch", True, False),
-        ("serial", "knob-batch", True, True, 0, "knob-batch", True, True),
-        ("parallel", "full", False, False, 2, "plain", False, True),
-        ("parallel", "ff+tail", True, True, 2, "plain", False, True),
-        ("parallel", "snap-2w", True, True, 2, "snapshot", True, True),
-        ("parallel", "snap-8w", True, True, 8, "snapshot", True, True),
-        ("parallel", "batch-2w", True, True, 2, "batch", True, True),
+        ("serial", "full-nobc", False, False, 0, False, False),
+        ("serial", "ff", True, False, 0, False, True),
+        ("serial", "ff+tail", True, True, 0, False, True),
+        # Cold first, warm second: the cold row stores the golden tape (and
+        # its instruction profile) the warm rows below replay.
+        ("serial", "ff+tail+cache-cold", True, True, 0, True, True),
+        ("serial", "ff+tail+cache-warm", True, True, 0, True, True),
+        ("serial", "warm-nobc", True, True, 0, True, False),
+        ("parallel", "full", False, False, 2, False, True),
+        ("parallel", "ff+tail", True, True, 2, False, True),
+        ("parallel", "ff+tail+cache-warm", True, True, 2, True, True),
+        ("parallel", "warm-8w", True, True, 8, True, True),
     ]
     # Single-shot wall clocks on a loaded box swing by tens of percent —
     # enough to flip the floor assertions either way.  Repeat the whole
@@ -195,10 +149,9 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         measured = {
             (executor, mode): _run_campaign(
                 round_dir, f"{executor}-{mode}", fast_forward, tail, workers,
-                executor_kind=kind, cache_dir=cache_dir if cached else None,
-                block_compile=bc,
+                cache_dir=cache_dir if cached else None, block_compile=bc,
             )
-            for executor, mode, fast_forward, tail, workers, kind, cached, bc
+            for executor, mode, fast_forward, tail, workers, cached, bc
             in matrix
         }
         measured[("serial", "resumed")] = (
@@ -244,7 +197,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         assert csv == baseline, f"results.csv diverged for {key}"
 
     runs = []
-    for executor, mode, fast_forward, tail, workers, kind, _cache, bc in matrix:
+    for executor, mode, fast_forward, tail, workers, cached, bc in matrix:
         seconds, counters, _ = measured[(executor, mode)]
         runs.append({
             "executor": executor,
@@ -252,7 +205,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             "workers": workers or 1,
             "fast_forward": fast_forward,
             "tail_fast_forward": tail,
-            "snapshot": kind == "snapshot",
+            "replay_cache": cached,
             "block_compile": bc,
             "seconds": round(seconds, 3),
             "simulated_cycles": int(counters.get("gpusim.cycles", 0)),
@@ -263,13 +216,6 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             "faults_converged": int(counters.get("engine.replay.tail_hits", 0)),
             "tail_launches_skipped": int(
                 counters.get("engine.replay.tail_launches_skipped", 0)
-            ),
-            "snapshot_forks": int(counters.get("engine.snapshot.forks", 0)),
-            "batch_checkpoints": int(
-                counters.get("engine.batch.checkpoints", 0)
-            ),
-            "batch_launches_shared": int(
-                counters.get("engine.batch.launches_shared", 0)
             ),
             "cache_hits": int(counters.get("engine.cache.hits", 0)),
             "cache_misses": int(counters.get("engine.cache.misses", 0)),
@@ -286,19 +232,12 @@ def test_campaign_wall_clock(benchmark, tmp_path):
     assert by_mode[("serial", "ff")]["faults_converged"] == 0  # tail off
     assert by_mode[("serial", "ff+tail")]["faults_converged"] > 0
     assert by_mode[("serial", "ff+tail")]["tail_launches_skipped"] > 0
-    # The snapshot rows must actually fork (not silently fall back), and
-    # the replay cache must go exactly cold -> warm.
-    assert by_mode[("serial", "snap+cache-cold")]["snapshot_forks"] > 0
-    assert by_mode[("serial", "snap+cache-cold")]["cache_misses"] == 1
-    assert by_mode[("serial", "snap+cache-warm")]["cache_hits"] == 1
-    assert by_mode[("serial", "snap+cache-warm")]["cache_misses"] == 0
-    # The batch rows must actually checkpoint every fault off a shared
-    # counting pass (explicit executor and config-knob path alike).
-    for batch_key in [("serial", "batch+cache-warm"),
-                      ("serial", "batch-warm-nobc"),
-                      ("serial", "knob-batch"), ("parallel", "batch-2w")]:
-        assert by_mode[batch_key]["batch_checkpoints"] == _faults(), batch_key
-        assert by_mode[batch_key]["batch_launches_shared"] >= 1, batch_key
+    # The replay cache must go exactly cold -> warm.
+    assert by_mode[("serial", "ff+tail+cache-cold")]["cache_misses"] == 1
+    for warm_key in [("serial", "ff+tail+cache-warm"),
+                     ("parallel", "ff+tail+cache-warm")]:
+        assert by_mode[warm_key]["cache_hits"] == 1, warm_key
+        assert by_mode[warm_key]["cache_misses"] == 0, warm_key
 
     cpus = os.cpu_count() or 1
     # Ideal 8-vs-2-worker ratio, capped by physical CPUs: on an 8+-core
@@ -306,17 +245,17 @@ def test_campaign_wall_clock(benchmark, tmp_path):
     # runs serialize and the ideal ratio is 1.
     ideal = min(8, cpus) / min(2, cpus)
     scaling_efficiency = round(
-        best_ratio(("parallel", "snap-2w"), ("parallel", "snap-8w")) / ideal, 2
+        best_ratio(
+            ("parallel", "ff+tail+cache-warm"), ("parallel", "warm-8w")
+        ) / ideal,
+        2,
     )
     speedup = {
         "serial": best_ratio(("serial", "full"), ("serial", "ff")),
         "serial_tail": best_ratio(("serial", "ff"), ("serial", "ff+tail")),
         "serial_total": best_ratio(("serial", "full"), ("serial", "ff+tail")),
-        "serial_snapshot": best_ratio(
-            ("serial", "full"), ("serial", "snap+cache-warm")
-        ),
-        "serial_batch": best_ratio(
-            ("serial", "full"), ("serial", "batch+cache-warm")
+        "serial_warm": best_ratio(
+            ("serial", "full"), ("serial", "ff+tail+cache-warm")
         ),
         # Block-compiled tier's contribution to the simulated portion:
         # the identical campaign, per-step vs block-compiled.
@@ -324,11 +263,8 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             ("serial", "full-nobc"), ("serial", "full")
         ),
         "parallel": best_ratio(("parallel", "full"), ("parallel", "ff+tail")),
-        "parallel_snapshot": best_ratio(
-            ("parallel", "full"), ("parallel", "snap-2w")
-        ),
-        "parallel_batch": best_ratio(
-            ("parallel", "full"), ("parallel", "batch-2w")
+        "parallel_warm": best_ratio(
+            ("parallel", "full"), ("parallel", "ff+tail+cache-warm")
         ),
     }
     payload = {
@@ -353,7 +289,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             f"{r['simulated_cycles'] / 1e6:.1f} Mcyc",
             r["replay_launches_skipped"],
             r["faults_converged"],
-            r["snapshot_forks"],
+            r["cache_hits"],
         ]
         for r in runs
     ]
@@ -361,10 +297,10 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         ("speedup (serial ff/full)", f"{speedup['serial']:.2f}x"),
         ("speedup (serial tail/ff)", f"{speedup['serial_tail']:.2f}x"),
         ("speedup (serial total)", f"{speedup['serial_total']:.2f}x"),
-        ("speedup (serial snapshot)", f"{speedup['serial_snapshot']:.2f}x"),
-        ("speedup (serial batch)", f"{speedup['serial_batch']:.2f}x"),
+        ("speedup (serial warm cache)", f"{speedup['serial_warm']:.2f}x"),
         ("speedup (serial blockc on/off)", f"{speedup['serial_blockc']:.2f}x"),
         ("speedup (parallel)", f"{speedup['parallel']:.2f}x"),
+        ("speedup (parallel warm cache)", f"{speedup['parallel_warm']:.2f}x"),
         ("scaling efficiency (8w vs 2w)", f"{scaling_efficiency:.2f}"),
     ]:
         rows.append([title, "-", value, "-", "-", "-", "-"])
@@ -372,7 +308,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         "campaign_wall_clock",
         format_table(
             ["Executor", "Mode", "Wall clock", "Simulated cycles",
-             "Pre-replayed", "Faults converged", "Forks"],
+             "Pre-replayed", "Faults converged", "Cache hits"],
             rows,
             title=f"Campaign wall clock: {_faults()} transient faults on "
                   f"{_workload()} (results.csv byte-identical throughout)",
@@ -388,19 +324,6 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             f"tail fast-forward speedup regressed: "
             f"{speedup['serial_tail']:.2f}x < {_MIN_TAIL_SPEEDUP}x "
             f"(see {BENCH_PATH})"
-        )
-        assert speedup["serial_snapshot"] > _MIN_SNAPSHOT_SPEEDUP, (
-            f"snapshot + warm-cache speedup regressed: "
-            f"{speedup['serial_snapshot']:.2f}x <= {_MIN_SNAPSHOT_SPEEDUP}x "
-            f"(see {BENCH_PATH})"
-        )
-        batch_floor = (
-            _MIN_BATCH_SPEEDUP if cpus >= 2 else _MIN_SNAPSHOT_SPEEDUP
-        )
-        assert speedup["serial_batch"] > batch_floor, (
-            f"batched multi-fault speedup regressed: "
-            f"{speedup['serial_batch']:.2f}x <= {batch_floor}x "
-            f"on {cpus} CPU(s) (see {BENCH_PATH})"
         )
         assert scaling_efficiency >= _MIN_SCALING_EFFICIENCY, (
             f"8-worker scaling efficiency regressed: {scaling_efficiency} < "

@@ -21,18 +21,14 @@ Example::
     )
     print(result.tally.report())
 
-The legacy entry points (:meth:`repro.core.Campaign.run_transient`,
-:func:`repro.core.parallel.run_transient_parallel`,
-:func:`repro.core.store.run_resumable_campaign`) remain as deprecated
-shims over the same engine.
+The legacy entry point :meth:`repro.core.Campaign.run_transient`
+remains as a deprecated shim over the same engine.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
-from repro.core.adaptive import SamplingPlan, StoppingRule
 from repro.core.bitflip import BitFlipModel
 from repro.core.campaign import (
     CampaignConfig,
@@ -54,7 +50,6 @@ from repro.core.outcomes import OutcomeRecord, classify
 from repro.core.params import IntermittentParams, PermanentParams, TransientParams
 from repro.core.profile_data import ProgramProfile
 from repro.core.profiler import ProfilingMode
-from repro.core.resilience import RetryPolicy
 from repro.core.result_store import ResultStore
 from repro.core.site_selection import select_transient_sites
 from repro.errors import ParamError, ReproError
@@ -188,11 +183,6 @@ def run_campaign(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     kind: CampaignKind | str = CampaignKind.TRANSIENT,
-    retry: RetryPolicy | None = None,
-    fast_forward: bool | None = None,
-    tail_fast_forward: bool | None = None,
-    stopping: StoppingRule | None = None,
-    sampling: SamplingPlan | None = None,
 ) -> TransientCampaignResult | PermanentCampaignResult:
     """Run (or resume) a full campaign described by ``config``.
 
@@ -213,37 +203,12 @@ def run_campaign(
     Per-call config overrides belong in the config itself::
 
         run_campaign(config.with_overrides(retry=policy, stopping=rule))
-
-    The historic override kwargs (``retry=``, ``fast_forward=``,
-    ``tail_fast_forward=``, ``stopping=``, ``sampling=``) still work but
-    emit :class:`DeprecationWarning` and are routed through
-    :meth:`~repro.core.campaign.CampaignConfig.with_overrides`, so their
-    semantics are identical.  See the stability policy in ``DESIGN.md``
-    for the removal timeline.
     """
     if not config.workload:
         raise ReproError(
             "run_campaign needs CampaignConfig.workload to name a "
             "registered workload"
         )
-    legacy = {
-        "retry": retry,
-        "fast_forward": fast_forward,
-        "tail_fast_forward": tail_fast_forward,
-        "stopping": stopping,
-        "sampling": sampling,
-    }
-    used = sorted(name for name, value in legacy.items() if value is not None)
-    if used:
-        warnings.warn(
-            f"run_campaign override kwarg(s) {used} are deprecated; use "
-            "config.with_overrides("
-            + ", ".join(f"{name}=..." for name in used)
-            + ") instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = config.with_overrides(**legacy)
     campaign_kind = CampaignKind.coerce(kind)
     engine = CampaignEngine(
         config.workload,

@@ -10,10 +10,10 @@ A campaign automates Figure 1 end-to-end for one application:
 5. Table V classification and aggregation.
 
 The actual pipeline lives in :class:`repro.core.engine.CampaignEngine`;
-:class:`Campaign` is the serial-convenience facade over it (as
-``run_transient_parallel`` and ``run_resumable_campaign`` are the parallel
-and resumable facades).  Timing of every phase is recorded so the overhead
-figures (paper Figures 4 and 5) can be regenerated.
+:class:`Campaign` is the serial-convenience facade over it (parallel and
+resumable campaigns go through :func:`repro.api.run_campaign`).  Timing
+of every phase is recorded so the overhead figures (paper Figures 4 and
+5) can be regenerated.
 """
 
 from __future__ import annotations
@@ -66,25 +66,6 @@ class CampaignConfig:
     ``fast_forward`` is on — ``fast_forward=False`` is the global kill
     switch that disables recording entirely.
 
-    ``snapshot`` executes grouped transient injections as copy-on-write
-    ``os.fork`` children of one replayed checkpoint (see
-    :class:`~repro.core.snapshot.SnapshotExecutor`): sites sharing a
-    fast-forward stop launch pay for the pre-target replay once instead of
-    once per injection.  Results stay byte-identical; on platforms without
-    ``os.fork`` the knob silently falls back to the ordinary executors.
-    It only takes effect when no explicit ``executor`` is passed.
-
-    ``batch_launch`` goes one step past ``snapshot``: grouped faults that
-    target the same dynamic launch are serviced by **one** simulator pass
-    of that launch (see :mod:`repro.core.batch_injector`).  The shared
-    pass counts group instructions once and takes an in-launch
-    copy-on-write checkpoint at each fault's ``instruction_count``; only
-    each fault's divergent suffix runs in its own fork.  Results stay
-    byte-identical; the same POSIX/fallback rules as ``snapshot`` apply,
-    and when both knobs are set, ``batch_launch`` wins (it subsumes
-    snapshot grouping).  It only takes effect when no explicit
-    ``executor`` is passed.
-
     ``block_compile`` (default on) runs every sandbox device with the
     block-compiled interpreter (:mod:`repro.gpusim.blockc`): straight-line
     SASS runs are fused into code-generated superhandlers on the
@@ -126,8 +107,6 @@ class CampaignConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fast_forward: bool = True
     tail_fast_forward: bool = True
-    snapshot: bool = False
-    batch_launch: bool = False
     block_compile: bool = True
     replay_cache: bool | str | None = None
     stopping: StoppingRule | None = None

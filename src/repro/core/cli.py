@@ -115,22 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "launches from the golden recording (needs "
                                "--fast-forward; results are byte-identical "
                                "either way)")
-    campaign.add_argument("--snapshot", action=argparse.BooleanOptionalAction,
-                          default=False,
-                          help="snapshot execution: fork copy-on-write "
-                               "children off one replayed checkpoint per "
-                               "fast-forward stop launch instead of "
-                               "replaying per injection (POSIX only; "
-                               "results are byte-identical either way)")
-    campaign.add_argument("--batch-launch",
-                          action=argparse.BooleanOptionalAction,
-                          default=False,
-                          help="batched multi-fault pass: simulate each "
-                               "targeted launch once for all faults aimed "
-                               "at it, forking a copy-on-write overlay at "
-                               "each fault's instruction count (implies "
-                               "snapshot grouping; POSIX only; results "
-                               "are byte-identical either way)")
     campaign.add_argument("--replay-cache", nargs="?", const=True,
                           default=None, metavar="DIR",
                           help="persist the golden replay tape across "
@@ -448,21 +432,11 @@ def _main(argv: list[str] | None = None) -> int:
             ),
             fast_forward=args.fast_forward,
             tail_fast_forward=args.tail_fast_forward,
-            snapshot=args.snapshot,
-            batch_launch=args.batch_launch,
             block_compile=args.block_compile,
             replay_cache=args.replay_cache,
         )
 
-        if args.batch_launch:
-            from repro.core.batch_injector import BatchExecutor
-
-            executor = BatchExecutor(max_workers=args.workers)
-        elif args.snapshot:
-            from repro.core.snapshot import SnapshotExecutor
-
-            executor = SnapshotExecutor(max_workers=args.workers)
-        elif args.workers:
+        if args.workers:
             executor = ParallelExecutor(
                 max_workers=args.workers, chunksize=args.chunksize
             )

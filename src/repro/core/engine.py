@@ -6,9 +6,8 @@ Historically the per-injection loop existed three times — in
 rebuilt its sandbox from ``seed`` + ``instruction_budget`` only, silently
 dropping ``family``, ``num_sms``, ``global_mem_bytes`` and ``extra_env``).
 :class:`CampaignEngine` owns the golden → profile → select → inject →
-classify pipeline exactly once; the legacy entry points are thin wrappers
-over it, so serial, parallel and resumed campaigns can never drift apart
-again.
+classify pipeline exactly once, so serial, parallel and resumed campaigns
+can never drift apart again.
 
 Orthogonal knobs plug into the engine:
 
@@ -154,18 +153,6 @@ class InjectionOutput:
     activations: int
     artifacts: RunArtifacts
     events: list[dict] = field(default_factory=list)
-    #: True when the run was serviced by a snapshot fork child (a
-    #: copy-on-write resume from a shared replayed checkpoint); feeds the
-    #: ``engine.snapshot.forks`` counter.
-    forked: bool = False
-    #: True when the fork was an *in-launch* overlay checkpoint (batched
-    #: multi-fault pass, see :mod:`repro.core.batch_injector`); feeds the
-    #: ``engine.batch.checkpoints`` counter.
-    batch: bool = False
-    #: Tagged on exactly one sibling per batch group, marking "this
-    #: group's target launch was simulated once for all its faults";
-    #: feeds the ``engine.batch.launches_shared`` counter.
-    batch_shared: bool = False
 
 
 def execute_task(
@@ -693,7 +680,7 @@ class CampaignEngine:
     ) -> None:
         self.app = get_workload(app) if isinstance(app, str) else app
         self.config = config or CampaignConfig()
-        self.executor = executor or self._default_executor()
+        self.executor = executor or SerialExecutor()
         self.store = store
         self.hooks = hooks or EngineHooks()
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -713,27 +700,6 @@ class CampaignEngine:
         # on-disk copy every worker loads lazily (once per process).
         self._replay_log = None  # repro.gpusim.replay.ReplayLog | None
         self._replay_path: str | None = None
-
-    def _default_executor(self) -> "Executor":
-        """Serial unless ``config.batch_launch``/``config.snapshot`` ask
-        for fork-based execution.
-
-        ``batch_launch`` wins when both are set: the batch executor *is*
-        a snapshot executor whose groups additionally share the target
-        launch's counting pass, so "snapshot + batch" means batch.
-        """
-        if getattr(self.config, "batch_launch", False):
-            from repro.core.batch_injector import BatchExecutor
-            from repro.core.snapshot import snapshot_supported
-
-            if snapshot_supported():
-                return BatchExecutor()
-        if getattr(self.config, "snapshot", False):
-            from repro.core.snapshot import SnapshotExecutor, snapshot_supported
-
-            if snapshot_supported():
-                return SnapshotExecutor()
-        return SerialExecutor()
 
     def _replay_cache(self):
         """The persistent cross-campaign replay cache, if configured.
@@ -1179,13 +1145,7 @@ class CampaignEngine:
             else:
                 item = build(output)
                 self.tracer.ingest(output.events)
-                self._record_run_metrics(
-                    output.artifacts,
-                    injection=True,
-                    forked=output.forked,
-                    batch=output.batch,
-                    batch_shared=output.batch_shared,
-                )
+                self._record_run_metrics(output.artifacts, injection=True)
             index = output.index
             ingested[index] = item
             if self.store is not None:
@@ -1234,8 +1194,6 @@ class CampaignEngine:
             kind=CampaignKind.TRANSIENT.value,
             total=len(tasks),
             fresh=len(tasks),
-            snapshot=getattr(self.executor, "snapshot_executor", False),
-            batch=getattr(self.executor, "batch_executor", False),
         ):
             runs = self.executor.run(
                 tasks,
@@ -1249,29 +1207,6 @@ class CampaignEngine:
             results = self.ingest_results(runs)
         self._phase("inject", time.perf_counter() - started)
         return results
-
-    def snapshot_order(self, indices: Iterable[int]) -> list[int]:
-        """Order plan indices so launch-coherent sites sit contiguously.
-
-        The scheduler shards this ordering into units, so every leased
-        unit's sites cluster around the same fast-forward stop launches —
-        the grouping :class:`~repro.core.snapshot.SnapshotExecutor` turns
-        into shared fork checkpoints.  Without a replay log (fast-forward
-        off, or the golden run taped nothing) the order is unchanged.
-        Pure reordering: results are keyed by index, so unit composition
-        never changes ``results.csv``.
-        """
-        sites = self.plan_transient()
-        log = self._replay_log
-
-        def key(index: int) -> tuple[int, int]:
-            stop = None
-            if log is not None and 0 <= index < len(sites):
-                site = sites[index]
-                stop = log.stop_launch_for(site.kernel_name, site.kernel_count)
-            return (stop if stop is not None else -1, index)
-
-        return sorted(indices, key=key)
 
     def _adaptive_enabled(self) -> bool:
         """Any adaptive knob set? Both ``None`` keeps the fixed-N fast path."""
@@ -1651,8 +1586,6 @@ class CampaignEngine:
             kind=kind,
             total=len(sites),
             fresh=len(tasks),
-            snapshot=getattr(self.executor, "snapshot_executor", False),
-            batch=getattr(self.executor, "batch_executor", False),
         ):
             for index in sorted(loaded):
                 item = loaded[index]
@@ -1681,13 +1614,7 @@ class CampaignEngine:
                     else:
                         item = build(output)
                         self.tracer.ingest(output.events)
-                        self._record_run_metrics(
-                            output.artifacts,
-                            injection=True,
-                            forked=getattr(output, "forked", False),
-                            batch=getattr(output, "batch", False),
-                            batch_shared=getattr(output, "batch_shared", False),
-                        )
+                        self._record_run_metrics(output.artifacts, injection=True)
                     index = output.index
                     by_index[index] = item
                     if save is not None:
@@ -1823,29 +1750,11 @@ class CampaignEngine:
             self.registry.counter("campaign.outcome.potential_due").inc(weight)
 
     def _record_run_metrics(
-        self,
-        artifacts: RunArtifacts,
-        injection: bool = False,
-        forked: bool = False,
-        batch: bool = False,
-        batch_shared: bool = False,
+        self, artifacts: RunArtifacts, injection: bool = False
     ) -> None:
         """Fold one sandboxed run's device counters into the registry."""
         reg = self.registry
         reg.counter("sandbox.runs").inc()
-        if forked:
-            # The run was serviced by a snapshot fork child resuming from
-            # a shared replayed checkpoint.
-            reg.counter("engine.snapshot.forks").inc()
-        if batch:
-            # ... and the fork was an in-launch overlay checkpoint: the
-            # batched pass counted this run's target launch and forked at
-            # its instruction_count instead of re-simulating the prefix.
-            reg.counter("engine.batch.checkpoints").inc()
-        if batch_shared:
-            # One per batch group: its target launch was simulated once
-            # for every sibling fault.
-            reg.counter("engine.batch.launches_shared").inc()
         reg.counter("gpusim.instructions_retired").inc(
             artifacts.instructions_executed
         )

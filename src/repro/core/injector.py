@@ -188,9 +188,8 @@ class TransientInjectorTool(NVBitTool):
         # `_visit` runs once per instrumented site — the hottest Python
         # path in an injection run — so the target count is cached here
         # instead of chasing `self.params.instruction_count` per site.
-        # Assignment keeps the cache coherent: the snapshot and batch
-        # executors retarget forked children by swapping `params` on the
-        # already-armed tool.
+        # Assignment keeps the cache coherent if a caller retargets an
+        # existing tool.
         self._params = value
         self._target_count = getattr(value, "instruction_count", 0)
 

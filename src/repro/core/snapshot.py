@@ -1,94 +1,37 @@
-"""Snapshot-resume execution: fork injection runs from a replayed checkpoint.
+"""Persistent cross-campaign replay cache.
 
-The replay tape (PRs 4-5) makes the launches *before* an injection target
-nearly free, but every injection still pays for re-running the host
-program and re-applying the tape from launch zero.  This module removes
-that cost the way ZOFI does — fork the process at the injection point —
-generalised to groups:
-
-* :class:`SnapshotExecutor` groups transient tasks by their fast-forward
-  stop launch.  Per group it runs the workload **once**, replaying the
-  tape up to the target boundary; at that boundary the
-  :class:`_SnapshotCursor` forks one copy-on-write child per sibling task
-  (plain ``os.fork``, POSIX only).  Each child swaps in its own injection
-  parameters — instrumentation depends only on the shared opcode group and
-  target instance, both identical across siblings — finishes the run on
-  the inherited Python stack, and ships its pickled
-  :class:`~repro.core.engine.InjectionOutput` back over a pipe.  The
-  parent then unwinds via :class:`_ForkParentDone` and moves to the next
-  group.  Results are byte-identical to :class:`SerialExecutor` /
-  :class:`ParallelExecutor` because both paths reconstruct exactly the
-  same pre-target state and classification uses deterministic artifacts
-  (instructions, not wall-clock).
-
-* :class:`ReplayCache` is the persistent cross-campaign tape cache
-  (default ``~/.cache/repro/replay/``, override with the
-  ``replay_cache`` knob or ``$REPRO_REPLAY_CACHE``).  Keys combine the
-  workload id, the sandbox config fingerprint and the code version; the
-  tape format embeds a sha256 content hash that is validated on load, so
-  a corrupt or stale entry degrades to re-recording instead of wrong
-  results.  ``repro serve`` points every scheduler worker at a
-  DB-adjacent cache dir, so one worker records golden and the rest replay
-  it.
-
-Fallbacks keep the executor safe everywhere: platforms without
-``os.fork`` delegate to the existing executors, tasks without a usable
-tape run through :func:`~repro.core.engine.execute_task`, and a child
-that dies re-runs in-process under the normal
-:class:`~repro.core.resilience.RetryPolicy` (the fork counts as the first
-attempt).  ``task_timeout`` is not enforced for in-group runs — as with
-:class:`SerialExecutor`, the in-sim instruction budget is the hang
-detector.
+:class:`ReplayCache` keeps the golden replay tape (and the instruction
+profile counted against it) between campaigns, by default under
+``~/.cache/repro/replay/`` (override with the ``replay_cache`` knob or
+``$REPRO_REPLAY_CACHE``).  Keys combine the workload id, the sandbox
+config fingerprint and the code version; the tape format embeds a sha256
+content hash that is validated on load, so a corrupt or stale entry
+degrades to re-recording instead of wrong results.  ``repro serve``
+points every scheduler worker at a DB-adjacent cache dir, so one worker
+records golden and the rest replay it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-import pickle
-import queue as queue_mod
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, Sequence
 
-from repro.core.engine import (
-    InjectionOutput,
-    InjectionTask,
-    ParallelExecutor,
-    SerialExecutor,
-    execute_task,
-)
-from repro.core.injector import TransientInjectorTool
-from repro.core.resilience import RetryPolicy, TaskFailure, format_error
 from repro.errors import ReproError
 from repro.gpusim.replay import (
     PAGE_SIZE,
-    ReplayCursor,
     ReplayLog,
     load_replay_log,
     save_replay_log,
 )
-from repro.obs.sink import MemorySink
-from repro.obs.trace import Tracer
-from repro.runner.app import Application
-from repro.runner.sandbox import SandboxConfig, run_app
-from repro.workloads import get_workload
-
-#: Exit status a fork child uses when it cannot produce a result; the
-#: parent charges the fork as attempt 1 and retries in-process.
-_CHILD_FAILED = 70
+from repro.runner.sandbox import SandboxConfig
 
 #: Bump when the cache key derivation or tape semantics change in a way
 #: that must invalidate previously cached entries.
 _CACHE_FORMAT = 1
-
-
-def snapshot_supported() -> bool:
-    """Fork-based snapshots need a POSIX ``os.fork``."""
-    return hasattr(os, "fork")
 
 
 def default_cache_root() -> Path:
@@ -272,421 +215,3 @@ class ReplayCache:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         os.replace(tmp, path)
-
-
-class _ForkParentDone(BaseException):
-    """Unwinds the parent out of ``run_app`` after all children forked.
-
-    Derives from ``BaseException`` so no handler between the fork point
-    (``cuLaunchKernel`` → cursor consult) and the group runner can swallow
-    it; ``run_app``'s ``finally`` still runs, so the interceptor is torn
-    down cleanly.
-    """
-
-
-class _ForkGroup:
-    """Shared mutable state between a group run's cursor and its runner."""
-
-    def __init__(self, tasks: Sequence[InjectionTask]) -> None:
-        self.tasks = list(tasks)
-        self.injector: TransientInjectorTool | None = None
-        self.in_child = False
-        self.child_task: InjectionTask | None = None
-        self.child_fd = -1
-        self.outputs: list[InjectionOutput] = []
-        self.failures: list[tuple[InjectionTask, str]] = []
-
-    def fork_children(self) -> None:
-        """Fork one COW child per sibling; parent reaps each in turn.
-
-        Called from the cursor at the target-launch boundary, where device
-        state equals golden.  Children are serviced sequentially so every
-        fork sees the pristine parent state (the parent is paused here).
-        Only a *child* returns from this method; the parent raises
-        :class:`_ForkParentDone` once every sibling has been reaped.
-        """
-        for task in self.tasks:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                self.in_child = True
-                self.child_task = task
-                self.child_fd = write_fd
-                # Instrumentation (already armed at launch entry) depends
-                # only on the opcode group and target instance — identical
-                # across siblings; the per-run fields (instruction_count,
-                # register selector, bit pattern, model) are read lazily
-                # at visit/inject time, so swapping params here retargets
-                # this child's injection.
-                self.injector.params = task.params
-                return
-            os.close(write_fd)
-            payload = b""
-            try:
-                with os.fdopen(read_fd, "rb") as pipe:
-                    payload = pipe.read()
-            except OSError:
-                payload = b""
-            _, status = os.waitpid(pid, 0)
-            exitcode = os.waitstatus_to_exitcode(status)
-            output = None
-            if exitcode == 0 and payload:
-                try:
-                    output = pickle.loads(payload)
-                except Exception:
-                    output = None
-            if isinstance(output, InjectionOutput) and output.index == task.index:
-                self.outputs.append(output)
-            else:
-                self.failures.append(
-                    (task, f"snapshot fork child exited with status {exitcode}")
-                )
-        raise _ForkParentDone()
-
-
-class _SnapshotCursor(ReplayCursor):
-    """A replay cursor that forks the process at the target boundary.
-
-    Behaves exactly like :class:`ReplayCursor` (same replay, tracking and
-    disarm semantics) except that reaching the target launch with the tape
-    still armed first triggers the group fork.  If the cursor disarms
-    before the target (off-tape launch, early instrumentation), no fork
-    happens and the group runner falls back to per-task execution.
-    """
-
-    def __init__(
-        self,
-        log: ReplayLog,
-        stop_launch: int,
-        pre: bool,
-        tail: bool,
-        group: _ForkGroup,
-    ) -> None:
-        super().__init__(log, stop_launch, pre=pre, tail=tail)
-        self._group = group
-
-    def _reach_target(
-        self, device, seq, kernel_name, grid, block, args, shared_bytes
-    ):
-        group = self._group
-        if group is not None and not group.in_child and seq == self.stop_launch:
-            self._group = None  # fork exactly once per group run
-            group.fork_children()  # raises _ForkParentDone in the parent
-            # only a forked child reaches here; it proceeds through the
-            # normal target-boundary transition (shadow snapshot, tail
-            # tracking) on its own copy-on-write state.
-        return super()._reach_target(
-            device, seq, kernel_name, grid, block, args, shared_bytes
-        )
-
-
-def _group_tasks(
-    tasks: Sequence[InjectionTask],
-) -> tuple[list[list[InjectionTask]], list[InjectionTask]]:
-    """Partition tasks into fork groups and pass-through singles.
-
-    Groupable tasks are transient, carry a pre-target replay window, and
-    share (tape, stop launch, target kernel instance, opcode group) — the
-    preconditions for the post-fork params swap.  Everything else runs
-    through the plain per-task path.
-    """
-    groups: dict[tuple, list[InjectionTask]] = {}
-    solo: list[InjectionTask] = []
-    for task in tasks:
-        ref = task.replay
-        if task.kind != "transient" or ref is None:
-            solo.append(task)
-            continue
-        key = (
-            ref.path,
-            ref.stop_launch,
-            ref.pre,
-            ref.tail,
-            task.params.kernel_name,
-            task.params.kernel_count,
-            task.params.group,
-            task.sandbox,
-        )
-        groups.setdefault(key, []).append(task)
-    ordered = sorted(
-        groups.values(), key=lambda grp: (grp[0].replay.stop_launch, grp[0].index)
-    )
-    return ordered, solo
-
-
-def _write_all(fd: int, payload: bytes) -> None:
-    view = memoryview(payload)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-class SnapshotExecutor:
-    """Runs grouped injections as COW forks of one replayed checkpoint.
-
-    Implements the standard executor protocol (``run(tasks, app=,
-    tracer=, retry=, on_retry=)`` yielding ``InjectionOutput`` |
-    ``TaskFailure``).  ``max_workers >= 2`` shards the fork groups across
-    that many processes (results stream back over a queue; a dead worker's
-    unfinished tasks re-run in the parent); otherwise groups run serially
-    in the calling process.  On platforms without ``os.fork`` the run
-    delegates wholesale to :class:`ParallelExecutor` /
-    :class:`SerialExecutor`.
-    """
-
-    #: Marker the engine checks (without importing this module) to tag
-    #: inject spans with ``snapshot=True``.
-    snapshot_executor = True
-
-    def __init__(
-        self, max_workers: int = 0, retry: RetryPolicy | None = None
-    ) -> None:
-        self.max_workers = max_workers
-        self.retry = retry
-
-    def run(
-        self,
-        tasks: Sequence[InjectionTask],
-        app: Application | None = None,
-        tracer: Tracer | None = None,
-        retry: RetryPolicy | None = None,
-        on_retry=None,
-    ) -> Iterator[InjectionOutput | TaskFailure]:
-        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
-        notify = on_retry or (lambda failure, delay: None)
-        tasks = list(tasks)
-        if not tasks:
-            return
-        if not snapshot_supported():
-            fallback = (
-                ParallelExecutor(max_workers=self.max_workers)
-                if self.max_workers and self.max_workers > 1
-                else SerialExecutor()
-            )
-            yield from fallback.run(
-                tasks, app=app, tracer=tracer, retry=policy, on_retry=notify
-            )
-            return
-        if self.max_workers and self.max_workers > 1:
-            yield from self._run_sharded(tasks, policy, notify)
-        else:
-            yield from self._run_local(tasks, app, tracer, policy, notify)
-
-    # -- serial (in-process) path -------------------------------------------
-
-    def _run_local(self, tasks, app, tracer, policy, notify):
-        groups, solo = _group_tasks(tasks)
-        for task in solo:
-            yield from self._run_with_retries(task, app, tracer, policy, notify)
-        for group in groups:
-            outputs, leftover, failures = self._run_group(group, app)
-            yield from outputs
-            for task in leftover:
-                # The group aborted before any fork (unreadable tape,
-                # early disarm): nothing ran for this task, so no attempt
-                # is charged.
-                yield from self._run_with_retries(
-                    task, app, tracer, policy, notify
-                )
-            for task, error in failures:
-                yield from self._run_with_retries(
-                    task, app, tracer, policy, notify,
-                    first_error=error, first_reason="fork-child",
-                )
-
-    def _run_group(self, group, app):
-        """One workload pass servicing every sibling via forks.
-
-        Returns ``(outputs, leftover_tasks, failed_tasks)``:
-        ``leftover_tasks`` never ran (fall back uncharged),
-        ``failed_tasks`` are ``(task, error)`` pairs whose fork child died
-        (charged as attempt 1).
-        """
-        ref = group[0].replay
-        try:
-            log = load_replay_log(ref.path)
-        except (OSError, ReproError):
-            return [], list(group), []
-        if app is None:
-            app = get_workload(group[0].workload)
-        ctx = _ForkGroup(group)
-        cursor = _SnapshotCursor(
-            log, ref.stop_launch, pre=ref.pre, tail=ref.tail, group=ctx
-        )
-        injector = TransientInjectorTool(group[0].params)
-        ctx.injector = injector
-        buffer = MemorySink()
-        try:
-            artifacts = run_app(
-                app,
-                preload=[injector],
-                config=group[0].sandbox.config(),
-                tracer=Tracer(sink=buffer),
-                replay=cursor,
-            )
-        except _ForkParentDone:
-            return (
-                ctx.outputs,
-                [],
-                [(task, error) for task, error in ctx.failures],
-            )
-        except BaseException:
-            if ctx.in_child:
-                # A child crashed past the fork point; die without
-                # touching inherited fds — the parent charges the attempt
-                # and retries in-process.
-                os._exit(_CHILD_FAILED)
-            # The parent failed before reaching the fork point; nothing
-            # ran to completion, so every task falls back uncharged (a
-            # genuinely broken task will fail its own attempts there).
-            return [], list(group), []
-        if ctx.in_child:
-            try:
-                output = InjectionOutput(
-                    index=ctx.child_task.index,
-                    record=getattr(injector, "record", None),
-                    activations=getattr(injector, "activations", 0),
-                    artifacts=artifacts,
-                    events=buffer.events,
-                    forked=True,
-                )
-                _write_all(ctx.child_fd, pickle.dumps(output))
-                os.close(ctx.child_fd)
-            except BaseException:
-                os._exit(_CHILD_FAILED)
-            os._exit(0)
-        # Parent completed without forking (cursor disarmed before the
-        # target): this run *is* the first sibling's injection run — the
-        # cursor degraded exactly like a plain ReplayCursor would — and
-        # the remaining siblings fall back to per-task execution.
-        first = InjectionOutput(
-            index=group[0].index,
-            record=getattr(injector, "record", None),
-            activations=getattr(injector, "activations", 0),
-            artifacts=artifacts,
-            events=buffer.events,
-        )
-        return [first], list(group[1:]), []
-
-    def _run_with_retries(
-        self,
-        task,
-        app,
-        tracer,
-        policy,
-        notify,
-        first_error: str | None = None,
-        first_reason: str = "exception",
-    ):
-        """SerialExecutor's retry loop, optionally pre-charged one attempt."""
-        attempt = 0
-        failure = None
-        if first_error is not None:
-            attempt = 1
-            failure = TaskFailure(task.index, attempt, first_error, first_reason)
-        while True:
-            if failure is not None:
-                if not policy.should_retry(attempt):
-                    yield failure
-                    return
-                delay = policy.delay(attempt, key=task.index)
-                notify(failure, delay)
-                if delay:
-                    time.sleep(delay)
-            attempt += 1
-            try:
-                output = execute_task(task, app, tracer=tracer)
-            except Exception as exc:
-                failure = TaskFailure(task.index, attempt, format_error(exc))
-                continue
-            yield output
-            return
-
-    # -- sharded (multi-process) path ---------------------------------------
-
-    def _run_sharded(self, tasks, policy, notify):
-        groups, solo = _group_tasks(tasks)
-        units: list[list[InjectionTask]] = groups + [[task] for task in solo]
-        workers = min(self.max_workers, len(units)) or 1
-        shards: list[list[InjectionTask]] = [[] for _ in range(workers)]
-        for n, unit in enumerate(units):
-            shards[n % workers].extend(unit)
-        result_queue: multiprocessing.Queue = multiprocessing.Queue()
-        procs = [
-            multiprocessing.Process(
-                target=_snapshot_worker_main,
-                args=(shard, policy, result_queue, type(self)),
-                daemon=True,
-            )
-            for shard in shards
-            if shard
-        ]
-        for proc in procs:
-            proc.start()
-        pending = {task.index for task in tasks}
-        done = 0
-        try:
-            while done < len(procs):
-                try:
-                    kind, payload = result_queue.get(timeout=0.2)
-                except queue_mod.Empty:
-                    if not any(proc.is_alive() for proc in procs):
-                        break
-                    continue
-                if kind == "done":
-                    done += 1
-                elif kind == "retry":
-                    failure, delay = payload
-                    notify(failure, delay)
-                else:
-                    pending.discard(payload.index)
-                    yield payload
-            while True:  # drain anything raced in after the last "done"
-                try:
-                    kind, payload = result_queue.get_nowait()
-                except queue_mod.Empty:
-                    break
-                if kind == "retry":
-                    failure, delay = payload
-                    notify(failure, delay)
-                elif kind != "done":
-                    pending.discard(payload.index)
-                    yield payload
-        finally:
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
-        if pending:
-            # A worker died mid-shard; its checkpointed siblings already
-            # streamed back, so only the unfinished tasks re-run here.
-            leftovers = [task for task in tasks if task.index in pending]
-            yield from self._run_local(leftovers, None, None, policy, notify)
-
-
-def _snapshot_worker_main(
-    tasks: list[InjectionTask],
-    policy: RetryPolicy,
-    result_queue: multiprocessing.Queue,
-    executor_cls: type["SnapshotExecutor"] = SnapshotExecutor,
-) -> None:
-    """One shard worker: serial fork-group execution, queued results.
-
-    ``executor_cls`` is the sharding executor's own class, so subclasses
-    (the batch executor) shard into workers running *their* group logic.
-    """
-    executor = executor_cls()
-
-    def notify(failure: TaskFailure, delay: float) -> None:
-        result_queue.put(("retry", (failure, delay)))
-
-    try:
-        for item in executor.run(tasks, retry=policy, on_retry=notify):
-            kind = "failure" if isinstance(item, TaskFailure) else "output"
-            result_queue.put((kind, item))
-    finally:
-        result_queue.put(("done", None))
-        result_queue.close()
-        result_queue.join_thread()

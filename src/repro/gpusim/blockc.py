@@ -1,6 +1,6 @@
 """Block-compiled warp interpreter: straight-line SASS fused into superhandlers.
 
-After the replay/snapshot/batch work, campaign wall-clock is dominated by
+After the replay work, campaign wall-clock is dominated by
 launches that must be simulated instruction-by-instruction (golden runs and
 never-reconverging divergent suffixes), and profiling shows the cost there
 is not the numpy lane math but the per-dynamic-instruction Python constant
@@ -804,16 +804,3 @@ def compiled_for(kernel, device=None, want_blocks: bool = True) -> CompiledKerne
         device.blockc_compile_seconds += perf_counter() - started
     return compiled
 
-
-def invalidate(kernel) -> None:
-    """Drop a kernel's compiled tables (next launch rebuilds them).
-
-    Called by :meth:`repro.nvbit.api.NVBitRuntime.invalidate_instrumented`:
-    a tool that forces a fresh instrumented clone may have rewritten the
-    function's instructions, and the identity check alone should not be
-    the only line of defence.
-    """
-    cached = getattr(kernel, "_gpusim_blockc", None)
-    if cached is not None:
-        kernel._gpusim_blockc = None
-        _SHARED.pop(cached.ids, None)

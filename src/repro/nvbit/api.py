@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cuda.driver import CudaDriver, CudaEvent, CudaFunction
-from repro.gpusim import blockc
 from repro.gpusim.sm import Hooks
 from repro.nvbit.instr import Instr
 from repro.nvbit.jit import JitCache
@@ -73,21 +72,6 @@ class NVBitRuntime:
 
     def is_instrumented_enabled(self, func: CudaFunction) -> bool:
         return self._record(func).enabled
-
-    def invalidate_instrumented(self, func: CudaFunction) -> None:
-        """Force the next enabled launch of ``func`` to JIT a fresh clone.
-
-        A long-lived tool that re-arms a function it already instrumented
-        (the batch injector's cross-launch sweep) uses this so the re-armed
-        launch pays the same simulated JIT-compile charge a fresh process
-        would — keeping cycle totals identical to a serial run.
-
-        The kernel's block-compiled execution tables are dropped alongside:
-        a tool forcing a fresh clone may have rewritten instructions, and
-        the next uninstrumented launch must not dispatch stale code.
-        """
-        self._record(func).mark_dirty()
-        blockc.invalidate(func.kernel)
 
     @property
     def jit_compile_count(self) -> int:

@@ -33,8 +33,6 @@ def config_to_dict(config: CampaignConfig) -> dict:
         "hang_budget_factor": config.hang_budget_factor,
         "fast_forward": config.fast_forward,
         "tail_fast_forward": config.tail_fast_forward,
-        "snapshot": config.snapshot,
-        "batch_launch": config.batch_launch,
         "block_compile": config.block_compile,
         "replay_cache": config.replay_cache,
         "sandbox": _sandbox_to_dict(config.sandbox),
@@ -62,8 +60,6 @@ def config_from_dict(payload: dict) -> CampaignConfig:
         "hang_budget_factor": int,
         "fast_forward": bool,
         "tail_fast_forward": bool,
-        "snapshot": bool,
-        "batch_launch": bool,
         "block_compile": bool,
         "replay_cache": _decode_replay_cache,
         "sandbox": _sandbox_from_dict,

@@ -60,6 +60,11 @@ from repro.errors import ReproError
 from repro.runner.artifacts import RunArtifacts
 from repro.service.codec import config_from_dict, config_to_dict
 
+#: Config keys that databases written by earlier releases may still hold.
+#: They selected fork-based executors that produced the same results as
+#: the serial path, so a stored campaign drops them and resumes unchanged.
+_RETIRED_CONFIG_KEYS = ("snapshot", "batch_launch")
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
     campaign_id  TEXT PRIMARY KEY,
@@ -251,7 +256,10 @@ class FaultDB:
         )
         if row is None:
             raise ReproError(f"no campaign {campaign_id!r} in {self.path}")
-        return config_from_dict(json.loads(row[0]))
+        payload = json.loads(row[0])
+        for key in _RETIRED_CONFIG_KEYS:
+            payload.pop(key, None)
+        return config_from_dict(payload)
 
     def campaign_row(self, campaign_id: str) -> dict:
         row = self._fetchone(

@@ -209,12 +209,6 @@ class CampaignScheduler:
                 set(range(len(sites)))
                 - set(self.db.completed_injections(self.campaign_id))
             )
-            # Order units stop-launch-coherently: sites sharing a
-            # fast-forward checkpoint land in the same unit, so snapshot
-            # workers fork siblings off one restored state and batch
-            # workers (config.batch_launch) service whole same-launch
-            # groups from one shared counting pass.
-            remaining = engine.snapshot_order(remaining)
             shards = shard_units(len(remaining), self.workers)
             units = [[remaining[i] for i in shard] for shard in shards]
             self.db.insert_units(self.campaign_id, units)

@@ -11,7 +11,7 @@ import repro
 from repro import api
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.params import PermanentParams
-from repro.core.store import CampaignStore, run_resumable_campaign
+from repro.core.store import CampaignStore
 from repro.errors import ReproError
 from repro.workloads import get_workload
 
@@ -122,24 +122,6 @@ class TestDeprecations:
         with pytest.warns(DeprecationWarning, match="run_campaign"):
             campaign.run_transient()
 
-    def test_run_resumable_campaign_warns(self, tmp_path):
-        campaign = Campaign(
-            get_workload(WORKLOAD), CampaignConfig(num_transient=1, seed=1)
-        )
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            run_resumable_campaign(campaign, CampaignStore(tmp_path))
-
-    @pytest.mark.slow
-    def test_run_transient_parallel_warns(self):
-        from repro.core.parallel import run_transient_parallel
-
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            run_transient_parallel(
-                WORKLOAD,
-                CampaignConfig(num_transient=1, seed=1),
-                max_workers=1,
-            )
-
 
 class TestTopLevelExports:
     def test_facade_is_importable_from_package_root(self):
@@ -173,33 +155,32 @@ class TestCampaignKinds:
             )
 
 
-class TestLegacyOverrideKwargs:
-    def test_each_legacy_kwarg_warns(self):
+class TestConfigOverrides:
+    def test_removed_override_kwargs_are_rejected(self):
         from repro.core.resilience import RetryPolicy
 
+        config = CampaignConfig(workload=WORKLOAD, num_transient=1, seed=1)
         for kwarg, value in [
             ("retry", RetryPolicy(max_attempts=2)),
             ("fast_forward", False),
             ("tail_fast_forward", False),
+            ("stopping", None),
+            ("sampling", None),
         ]:
-            config = CampaignConfig(workload=WORKLOAD, num_transient=1, seed=1)
-            with pytest.warns(DeprecationWarning, match="with_overrides"):
+            with pytest.raises(TypeError, match=kwarg):
                 api.run_campaign(config, **{kwarg: value})
 
-    def test_legacy_kwargs_match_with_overrides(self, tmp_path):
+    def test_fast_forward_override_is_byte_identical(self, tmp_path):
         config = CampaignConfig(workload=WORKLOAD, num_transient=3, seed=5)
 
-        legacy_store = CampaignStore(tmp_path / "legacy")
-        with pytest.warns(DeprecationWarning, match="with_overrides"):
-            api.run_campaign(config, store=legacy_store, fast_forward=False)
-
-        modern_store = CampaignStore(tmp_path / "modern")
+        api.run_campaign(config, store=CampaignStore(tmp_path / "ff"))
         api.run_campaign(
-            config.with_overrides(fast_forward=False), store=modern_store
+            config.with_overrides(fast_forward=False),
+            store=CampaignStore(tmp_path / "full"),
         )
 
-        assert (tmp_path / "legacy" / "results.csv").read_bytes() == (
-            tmp_path / "modern" / "results.csv"
+        assert (tmp_path / "ff" / "results.csv").read_bytes() == (
+            tmp_path / "full" / "results.csv"
         ).read_bytes()
 
 

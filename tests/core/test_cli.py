@@ -179,12 +179,19 @@ class TestHelpSnapshots:
             "--format", "--max-attempts", "--task-timeout", "--on-failure",
             "--fast-forward", "--no-fast-forward",
             "--tail-fast-forward", "--no-tail-fast-forward",
-            "--snapshot", "--no-snapshot", "--replay-cache",
+            "--replay-cache",
             "--seed", "--trace", "--metrics",
             "--target-outcome", "--confidence", "--half-width",
             "--sampling", "--batch-size",
         ):
             assert flag in out, f"{flag} missing from campaign --help"
+
+    def test_retired_executor_flags_are_usage_errors(self, capsys):
+        for flag in ("--snapshot", "--no-snapshot", "--batch-launch"):
+            with pytest.raises(SystemExit) as exc:
+                main(["campaign", "314.omriq", flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_campaign_adaptive_choices_advertised(self, capsys):
         out = self._help(capsys, "campaign")

@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine, ParallelExecutor
+from repro.core.groups import InstructionGroup
 from repro.core.resilience import RetryPolicy
 from repro.core.store import CampaignStore
 from repro.obs import MemorySink, MetricsRegistry, Tracer, spans
@@ -92,6 +93,25 @@ class TestResultsByteParity:
         ff = (tmp_path / "resumed-ff" / "results.csv").read_bytes()
         full = (tmp_path / "resumed-full" / "results.csv").read_bytes()
         assert ff == full
+
+    def test_predicate_destination_group(self, tmp_path):
+        """G_PR faults corrupt predicate destinations, not general
+        registers; fast-forward must reproduce their records exactly."""
+        results = {}
+        for fast_forward, label in ((True, "ff"), (False, "full")):
+            config = CampaignConfig(
+                workload=_WORKLOAD, num_transient=_N, seed=_SEED,
+                group=InstructionGroup.G_PR, fast_forward=fast_forward,
+            )
+            results[label] = repro.run_campaign(
+                config, store=CampaignStore(tmp_path / f"pr-{label}")
+            )
+        assert (tmp_path / "pr-ff" / "results.csv").read_bytes() == (
+            tmp_path / "pr-full" / "results.csv"
+        ).read_bytes()
+        records = [r.record for r in results["ff"].results]
+        assert records == [r.record for r in results["full"].results]
+        assert any(record.dest_kind == "pred" for record in records)
 
     def test_quarantine(self, tmp_path):
         """Campaigns containing harness failures keep byte parity: the
@@ -268,7 +288,7 @@ class TestReplayObservability:
         )
 
     def test_api_override(self, tmp_path):
-        """run_campaign(tail_fast_forward=...) overrides the config knob."""
+        """A with_overrides(tail_fast_forward=...) layer overrides the knob."""
         store = CampaignStore(tmp_path / "api-override")
         registry = MetricsRegistry()
         config = CampaignConfig(
@@ -276,8 +296,9 @@ class TestReplayObservability:
             tail_fast_forward=True,
         )
         repro.run_campaign(
-            config, store=CampaignStore(tmp_path / "api-override"),
-            metrics=registry, tail_fast_forward=False,
+            config.with_overrides(tail_fast_forward=False),
+            store=CampaignStore(tmp_path / "api-override"),
+            metrics=registry,
         )
         assert "engine.replay.tail_hits" not in registry.snapshot()["counters"]
         baseline = _results_csv(tmp_path, "api-baseline", True)

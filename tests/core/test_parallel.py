@@ -2,22 +2,20 @@
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.parallel import run_transient_parallel
-from repro.workloads import get_workload
+import repro
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import ParallelExecutor
 
-_CONFIG = dict(num_transient=6, seed=13)
+_CONFIG = dict(workload="314.omriq", num_transient=6, seed=13)
 
 
 @pytest.mark.slow
 class TestParallelCampaign:
     @pytest.fixture(scope="class")
     def serial_and_parallel(self):
-        serial = Campaign(
-            get_workload("314.omriq"), CampaignConfig(**_CONFIG)
-        ).run_transient()
-        parallel = run_transient_parallel(
-            "314.omriq", CampaignConfig(**_CONFIG), max_workers=2
+        serial = repro.run_campaign(CampaignConfig(**_CONFIG))
+        parallel = repro.run_campaign(
+            CampaignConfig(**_CONFIG), executor=ParallelExecutor(max_workers=2)
         )
         return serial, parallel
 
@@ -62,6 +60,7 @@ class TestNonDefaultSandboxPropagation:
 
         def config():
             return CampaignConfig(
+                workload="314.omriq",
                 num_transient=4,
                 seed=13,
                 sandbox=SandboxConfig(
@@ -69,8 +68,10 @@ class TestNonDefaultSandboxPropagation:
                 ),
             )
 
-        serial = Campaign(get_workload("314.omriq"), config()).run_transient()
-        parallel = run_transient_parallel("314.omriq", config(), max_workers=2)
+        serial = repro.run_campaign(config())
+        parallel = repro.run_campaign(
+            config(), executor=ParallelExecutor(max_workers=2)
+        )
         return serial, parallel
 
     def test_same_sites(self, runs):

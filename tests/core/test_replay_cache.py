@@ -1,0 +1,168 @@
+"""The persistent replay cache and the engine's cooperative batch stop.
+
+The contract under test is the usual one: *results are byte-identical,
+only wall-clock changes*.  A :class:`~repro.core.snapshot.ReplayCache`
+hit only swaps simulated golden launches for replayed ones, and a
+corrupt, stale or mismatched entry degrades to re-recording.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+
+import pytest
+
+import repro
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine, SerialExecutor
+from repro.core.snapshot import ReplayCache, default_cache_root
+from repro.core.store import CampaignStore
+from repro.obs import MetricsRegistry
+from repro.runner.sandbox import SandboxConfig
+
+_WORKLOAD = "303.ostencil"  # multi-kernel, small: 21 golden launches
+_N = 10
+_SEED = 3
+
+
+def _config(**overrides) -> CampaignConfig:
+    return CampaignConfig(
+        workload=_WORKLOAD, num_transient=_N, seed=_SEED
+    ).with_overrides(**overrides)
+
+
+def _campaign_csv(tmp_path, label, executor=None, config=None,
+                  registry=None) -> bytes:
+    store = CampaignStore(tmp_path / label)
+    repro.run_campaign(
+        config or _config(), executor=executor, store=store, metrics=registry
+    )
+    return (tmp_path / label / "results.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def serial_csv(tmp_path_factory) -> bytes:
+    tmp = tmp_path_factory.mktemp("replay-cache-serial-reference")
+    store = CampaignStore(tmp / "serial")
+    repro.run_campaign(_config(), executor=SerialExecutor(), store=store)
+    return (tmp / "serial" / "results.csv").read_bytes()
+
+
+class TestRunBatchStop:
+    def test_preset_stop_runs_nothing(self):
+        engine = CampaignEngine(_WORKLOAD, _config())
+        engine.plan_transient()
+        stop = threading.Event()
+        stop.set()
+        assert engine.run_batch([0, 1, 2], stop=stop) == {}
+
+    def test_stop_mid_batch_keeps_completed_results(self):
+        from repro.core.engine import EngineHooks
+
+        stop = threading.Event()
+
+        class StopAfterFirst(EngineHooks):
+            def on_injection(self, index, outcome, completed, total, tally):
+                stop.set()
+
+        engine = CampaignEngine(_WORKLOAD, _config(), hooks=StopAfterFirst())
+        engine.plan_transient()
+        results = engine.run_batch([0, 1, 2, 3], stop=stop)
+        assert len(results) == 1  # the in-flight run lands, no new one starts
+
+
+class TestReplayCache:
+    def test_resolve_semantics(self, tmp_path):
+        assert ReplayCache.resolve(None) is None
+        assert ReplayCache.resolve(False) is None
+        assert ReplayCache.resolve(True).root == default_cache_root()
+        assert ReplayCache.resolve(str(tmp_path)).root == tmp_path
+
+    def test_env_overrides_default_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_REPLAY_CACHE", str(tmp_path / "env-cache"))
+        assert default_cache_root() == tmp_path / "env-cache"
+
+    def test_cold_then_warm_campaign_is_byte_identical(self, tmp_path,
+                                                       serial_csv):
+        cache_dir = tmp_path / "cache"
+        cold_reg, warm_reg = MetricsRegistry(), MetricsRegistry()
+        cold = _campaign_csv(
+            tmp_path, "cold", config=_config(replay_cache=str(cache_dir)),
+            registry=cold_reg,
+        )
+        warm = _campaign_csv(
+            tmp_path, "warm", config=_config(replay_cache=str(cache_dir)),
+            registry=warm_reg,
+        )
+        assert cold == warm == serial_csv
+        assert cold_reg.counter_values()["engine.cache.misses"] == 1
+        assert "engine.cache.hits" not in cold_reg.counter_values()
+        assert warm_reg.counter_values()["engine.cache.hits"] == 1
+        assert warm_reg.counter_values()["engine.cache.profile_hits"] == 1
+        assert "engine.cache.misses" not in warm_reg.counter_values()
+        # One tape + one sidecar + one instruction profile for the single
+        # (workload, config) key.
+        assert len(list(cache_dir.glob("*.bin"))) == 1
+        assert len(list(cache_dir.glob("*.json"))) == 1
+        assert len(list(cache_dir.glob("*.profile"))) == 1
+
+    def test_stale_profile_entry_is_recounted(self, tmp_path, serial_csv):
+        # A profile recorded against a different tape (sha mismatch) must
+        # never be trusted: the warm run re-profiles and still matches.
+        cache_dir = tmp_path / "cache"
+        _campaign_csv(tmp_path, "seed", config=_config(replay_cache=str(cache_dir)))
+        entry = next(cache_dir.glob("*.profile"))
+        payload = json.loads(entry.read_text())
+        payload["tape_sha256"] = "0" * 64
+        entry.write_text(json.dumps(payload))
+        registry = MetricsRegistry()
+        csv = _campaign_csv(
+            tmp_path, "stale-profile",
+            config=_config(replay_cache=str(cache_dir)), registry=registry,
+        )
+        assert csv == serial_csv
+        values = registry.counter_values()
+        assert values["engine.cache.hits"] == 1  # the tape itself still hits
+        assert "engine.cache.profile_hits" not in values  # profile recounted
+        # ... and the recount repaired the cache entry.
+        reg2 = MetricsRegistry()
+        _campaign_csv(
+            tmp_path, "repaired",
+            config=_config(replay_cache=str(cache_dir)), registry=reg2,
+        )
+        assert reg2.counter_values()["engine.cache.profile_hits"] == 1
+
+    def test_different_sandbox_fingerprint_misses(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        _campaign_csv(tmp_path, "a", config=_config(replay_cache=str(cache_dir)))
+        registry = MetricsRegistry()
+        other = _config(
+            replay_cache=str(cache_dir),
+            sandbox=SandboxConfig(seed=99),
+        )
+        _campaign_csv(tmp_path, "b", config=other, registry=registry)
+        assert registry.counter_values()["engine.cache.misses"] == 1
+        assert len(list(tmp_path.glob("cache/*.bin"))) == 2
+
+    def test_corrupt_entry_degrades_to_miss(self, tmp_path, serial_csv):
+        cache_dir = tmp_path / "cache"
+        _campaign_csv(tmp_path, "seed", config=_config(replay_cache=str(cache_dir)))
+        entry = next(cache_dir.glob("*.bin"))
+        blob = bytearray(entry.read_bytes())
+        blob[-1] ^= 0xFF  # flip one tape byte: content hash now mismatches
+        entry.write_bytes(bytes(blob))
+        registry = MetricsRegistry()
+        csv = _campaign_csv(
+            tmp_path, "after-corruption",
+            config=_config(replay_cache=str(cache_dir)), registry=registry,
+        )
+        assert csv == serial_csv  # fell back to recording, results intact
+        assert registry.counter_values()["engine.cache.misses"] == 1
+        # The fallback recording replaced the corrupt entry.
+        reg2 = MetricsRegistry()
+        _campaign_csv(
+            tmp_path, "rewarmed",
+            config=_config(replay_cache=str(cache_dir)), registry=reg2,
+        )
+        assert reg2.counter_values()["engine.cache.hits"] == 1

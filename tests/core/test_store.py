@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.outcomes import Outcome
 from repro.core.store import CampaignStore
@@ -84,23 +85,19 @@ class TestRoundTrips:
 
 
 class TestResume:
-    def _make_campaign(self):
-        return Campaign(get_workload("314.omriq"),
-                        CampaignConfig(num_transient=4, seed=21))
+    @staticmethod
+    def _config(seed=21):
+        return CampaignConfig(workload="314.omriq", num_transient=4, seed=seed)
 
     def test_fresh_run_populates_store(self, tmp_path):
-        from repro.core.store import run_resumable_campaign
-
         store = CampaignStore(tmp_path)
-        result = run_resumable_campaign(self._make_campaign(), store)
+        result = repro.run_campaign(self._config(), store=store)
         assert len(result.results) == 4
         assert store.completed_injections() == [0, 1, 2, 3]
 
     def test_resume_skips_completed_and_matches(self, tmp_path):
-        from repro.core.store import run_resumable_campaign
-
         store = CampaignStore(tmp_path)
-        first = run_resumable_campaign(self._make_campaign(), store)
+        first = repro.run_campaign(self._config(), store=store)
 
         # Simulate an interruption: drop the last two runs from disk.
         import shutil
@@ -109,21 +106,17 @@ class TestResume:
             shutil.rmtree(tmp_path / "injections" / f"run_{index:05d}")
         assert store.completed_injections() == [0, 1]
 
-        second = run_resumable_campaign(self._make_campaign(), store)
+        second = repro.run_campaign(self._config(), store=store)
         assert store.completed_injections() == [0, 1, 2, 3]
         assert [r.outcome.outcome for r in second.results] == [
             r.outcome.outcome for r in first.results
         ]
 
     def test_mismatched_store_rejected(self, tmp_path):
-        from repro.core.store import run_resumable_campaign
-
         store = CampaignStore(tmp_path)
-        run_resumable_campaign(self._make_campaign(), store)
-        other = Campaign(get_workload("314.omriq"),
-                         CampaignConfig(num_transient=4, seed=999))
+        repro.run_campaign(self._config(), store=store)
         with pytest.raises(ReproError, match="different"):
-            run_resumable_campaign(other, store)
+            repro.run_campaign(self._config(seed=999), store=store)
 
 
 class TestErrors:

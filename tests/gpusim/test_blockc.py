@@ -7,7 +7,7 @@ stdout, output files, trap identity, dmesg — is identical.  Coverage
 follows the fallback matrix in ``docs/performance.md``: straight-line
 blocks, guarded instructions inside blocks, mid-block memory traps,
 watchdog exhaustion at a block-interior instruction, clock readers,
-and campaign-level results.csv parity across serial/snapshot/batch
+and campaign-level results.csv parity across the serial and parallel
 executors (a fault injected at a block-interior dynamic instruction
 rides the instrumented step path while every other launch runs
 compiled blocks).
@@ -18,10 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
-from repro.core.engine import CampaignEngine
-from repro.core.snapshot import SnapshotExecutor
+from repro.core.engine import CampaignEngine, ParallelExecutor
 from repro.core.store import CampaignStore
 from repro.errors import MemoryViolation, WatchdogTimeout
 from repro.gpusim import blockc
@@ -280,14 +278,6 @@ class TestCompilationCache:
         kernel = assemble(self._SRC).get("cached")
         assert blockc.compiled_for(kernel) is blockc.compiled_for(kernel)
 
-    def test_invalidate_forces_rebuild(self):
-        kernel = assemble(self._SRC).get("cached")
-        compiled = blockc.compiled_for(kernel)
-        blockc.invalidate(kernel)
-        rebuilt = blockc.compiled_for(kernel)
-        assert rebuilt is not compiled
-        assert rebuilt.fingerprint == compiled.fingerprint
-
     def test_want_blocks_upgrades_table_only_entry(self):
         kernel = assemble(self._SRC).get("cached")
         table_only = blockc.compiled_for(kernel, want_blocks=False)
@@ -341,7 +331,7 @@ class TestCampaignParity:
     """A full injection campaign — faults land at block-interior dynamic
     instructions; the instrumented target launch steps while every other
     launch runs compiled blocks — must produce byte-identical results.csv
-    with the tier on or off, across serial, snapshot and batch executors."""
+    with the tier on or off, across the serial and parallel executors."""
 
     _WORKLOAD = "314.omriq"
     _FAULTS = 6
@@ -367,8 +357,6 @@ class TestCampaignParity:
         baseline = self._run(tmp_path, "step-serial", block_compile=False)
         assert self._run(tmp_path, "bc-serial", True) == baseline
         assert self._run(
-            tmp_path, "bc-snapshot", True, executor=SnapshotExecutor()
-        ) == baseline
-        assert self._run(
-            tmp_path, "bc-batch", True, executor=BatchExecutor()
+            tmp_path, "bc-parallel", True,
+            executor=ParallelExecutor(max_workers=2),
         ) == baseline

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.store import CampaignStore
 from repro.errors import ParamError, ReproError
 from repro.service import FaultDB, config_from_dict, config_to_dict, decode_overrides
 from repro.service.faultdb import fault_fingerprint
+from repro.service.scheduler import CampaignScheduler
 
 from tests.service.conftest import make_config
 
@@ -265,7 +267,8 @@ def test_codec_round_trips_default_and_rich_configs():
         seed=9,
         hang_budget_factor=12,
         fast_forward=False,
-        snapshot=True,
+        tail_fast_forward=False,
+        block_compile=False,
         replay_cache="/tmp/replay-cache",
         sandbox=SandboxConfig(seed=4, num_sms=2, extra_env={"X": "1"}),
         retry=RetryPolicy(max_attempts=5, task_timeout=1.5, on_failure="raise"),
@@ -281,6 +284,35 @@ def test_codec_rejects_unknown_keys_and_bad_values():
         config_from_dict({"num_transiet": 5})
     with pytest.raises(ParamError, match="bad campaign config value"):
         config_from_dict({"group": "G_BOGUS"})
+
+
+def test_stored_config_with_retired_executor_keys_loads_and_resumes(
+    db, reference
+):
+    """A campaign row written before the fork executors were removed still
+    carries their knobs; it must load and resume to the same results."""
+    result, reference_bytes = reference
+    db.create_campaign("c", make_config())
+    legacy = {**config_to_dict(make_config()), "snapshot": False,
+              "batch_launch": False}
+    with db._conn:
+        db._conn.execute(
+            "UPDATE campaigns SET config_json = ? WHERE campaign_id = ?",
+            (json.dumps(legacy), "c"),
+        )
+    assert db.campaign_config("c") == make_config()
+    store = db.campaign_store("c")
+    for index in range(2):
+        store.save_injection(index, result.results[index])
+    CampaignScheduler(db, "c", workers=0).run()
+    assert db.campaign_row("c")["state"] == "done"
+    assert db.export_results_csv("c").encode() == reference_bytes
+
+
+def test_submissions_with_retired_executor_keys_are_rejected():
+    for key in ("snapshot", "batch_launch"):
+        with pytest.raises(ParamError, match="unknown campaign config key"):
+            decode_overrides({key: False})
 
 
 def test_decode_overrides_passes_only_submitted_keys():
