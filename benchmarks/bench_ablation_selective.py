@@ -20,7 +20,8 @@ from __future__ import annotations
 import statistics
 
 from benchmarks.harness import campaign_seed, emit, workload_names
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.groups import instruction_in_group
 from repro.core.injector import TransientInjectorTool
 from repro.cuda.driver import CudaEvent
@@ -98,7 +99,7 @@ def _measure():
     rows = []
     ratios = {"kernel-wide": [], "whole-program": []}
     for name in workload_names():
-        campaign = Campaign(
+        campaign = CampaignEngine(
             get_workload(name), CampaignConfig(seed=campaign_seed())
         )
         campaign.run_golden()

@@ -9,7 +9,8 @@ Figures 2 and 3: more activations => fewer masked outcomes.
 from __future__ import annotations
 
 from benchmarks.harness import campaign_seed, emit, quick_mode
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.core.params import IntermittentParams
 from repro.core.report import OutcomeTally
@@ -28,7 +29,7 @@ def _measure():
     activations: dict[float, int] = {p: 0 for p in _PROBABILITIES}
     programs = _PROGRAMS[:1] if quick_mode() else _PROGRAMS
     for name in programs:
-        campaign = Campaign(get_workload(name), CampaignConfig(seed=campaign_seed()))
+        campaign = CampaignEngine(get_workload(name), CampaignConfig(seed=campaign_seed()))
         campaign.run_golden()
         campaign.run_profile()
         rng = SeedSequenceStream(campaign_seed(), path=name).child("int").generator()
@@ -37,14 +38,14 @@ def _measure():
         )
         for probability in _PROBABILITIES:
             for index, site in enumerate(sites[:10]):
-                result = campaign.run_intermittent(
+                [result] = campaign.run_intermittent([
                     IntermittentParams(
                         site,
                         process="random",
                         activation_probability=probability,
                         seed=index,
                     )
-                )
+                ])
                 tallies[probability].add(result.outcome)
                 activations[probability] += result.activations
     for probability in _PROBABILITIES:

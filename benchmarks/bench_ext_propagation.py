@@ -11,7 +11,8 @@ overwritten (architectural masking).
 from __future__ import annotations
 
 from benchmarks.harness import campaign_seed, emit, quick_mode
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.injector import TransientInjectorTool
 from repro.core.outcomes import Outcome, classify
 from repro.core.propagation import trace_propagation
@@ -23,7 +24,7 @@ _PROGRAM = "303.ostencil"
 
 
 def _measure():
-    campaign = Campaign(
+    campaign = CampaignEngine(
         get_workload(_PROGRAM), CampaignConfig(seed=campaign_seed())
     )
     campaign.run_golden()

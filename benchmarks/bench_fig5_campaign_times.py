@@ -62,7 +62,7 @@ def test_fig5_parallel_engine_campaign(benchmark):
         engine = CampaignEngine(
             "314.omriq",
             CampaignConfig(num_transient=8, seed=campaign_seed()),
-            executor=ParallelExecutor(max_workers=2, chunksize=2),
+            executor=ParallelExecutor(max_workers=2),
         )
         engines.append(engine)
         return engine.run_transient()

@@ -16,7 +16,8 @@ import statistics
 from dataclasses import dataclass
 
 from benchmarks.harness import campaign_seed, workload_names
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.injector import TransientInjectorTool
 from repro.core.pf_injector import PermanentInjectorTool
 from repro.core.profiler import ProfilerTool, ProfilingMode
@@ -81,7 +82,7 @@ def _cycles(app, tools, config) -> int:
 
 
 def _measure_program(name: str) -> ProgramOverheads:
-    campaign = Campaign(
+    campaign = CampaignEngine(
         get_workload(name),
         CampaignConfig(seed=campaign_seed(), num_transient=_SAMPLE_INJECTIONS),
     )

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core import Campaign, CampaignConfig, Outcome
+from repro.core import CampaignConfig, CampaignEngine, Outcome
 from repro.workloads import AvPipeline
 
 
 def main() -> None:
     app = AvPipeline()
-    campaign = Campaign(app, CampaignConfig(num_transient=60, seed=99))
+    campaign = CampaignEngine(app, CampaignConfig(num_transient=60, seed=99))
 
     print("== golden frame pipeline ==")
     golden = campaign.run_golden()

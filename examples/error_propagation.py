@@ -14,8 +14,8 @@ Run:  python examples/error_propagation.py
 from __future__ import annotations
 
 from repro.core import (
-    Campaign,
     CampaignConfig,
+    CampaignEngine,
     Outcome,
     TransientInjectorTool,
     classify,
@@ -27,7 +27,7 @@ from repro.workloads import get_workload
 
 def main() -> None:
     app = get_workload("303.ostencil")
-    campaign = Campaign(app, CampaignConfig(seed=77))
+    campaign = CampaignEngine(app, CampaignConfig(seed=77))
     campaign.run_golden()
     campaign.run_profile()
     sites = campaign.select_sites(8)

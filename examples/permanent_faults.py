@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import Campaign, CampaignConfig, IntermittentParams
+from repro.core import CampaignConfig, CampaignEngine, IntermittentParams
 from repro.workloads import get_workload
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "359.miniGhost"
-    campaign = Campaign(get_workload(workload), CampaignConfig(seed=7))
+    campaign = CampaignEngine(get_workload(workload), CampaignConfig(seed=7))
     campaign.run_golden()
     profile = campaign.run_profile()
 
@@ -42,7 +42,7 @@ def main() -> None:
     print(f"{'p(active)':>10} {'process':>8} {'activations':>12}  outcome")
     for probability in (0.05, 0.25, 1.0):
         for process in ("random", "bursty"):
-            outcome = campaign.run_intermittent(
+            [outcome] = campaign.run_intermittent([
                 IntermittentParams(
                     heaviest.params,
                     process=process,
@@ -50,7 +50,7 @@ def main() -> None:
                     burst_length=8.0,
                     seed=42,
                 )
-            )
+            ])
             print(f"{probability:10.2f} {process:>8} {outcome.activations:12d}  "
                   f"{outcome.outcome.label()}")
 

@@ -21,8 +21,9 @@ Example::
     )
     print(result.tally.report())
 
-The legacy entry point :meth:`repro.core.Campaign.run_transient`
-remains as a deprecated shim over the same engine.
+Finer-grained control (a campaign's phases one by one, explicit site
+lists, intermittent runs) is :class:`~repro.core.engine.CampaignEngine`,
+which these functions drive.
 """
 
 from __future__ import annotations
@@ -161,17 +162,6 @@ def inject(
         outcome=outcome,
         artifacts=output.artifacts,
     )
-
-
-#: The historic ad-hoc override kwargs of :func:`run_campaign`, now shims
-#: over :meth:`~repro.core.campaign.CampaignConfig.with_overrides`.
-_LEGACY_OVERRIDE_KWARGS = (
-    "retry",
-    "fast_forward",
-    "tail_fast_forward",
-    "stopping",
-    "sampling",
-)
 
 
 def run_campaign(

@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also run the permanent-fault campaign")
     campaign.add_argument("--workers", type=int, default=0,
                           help="fan injection runs out over N worker processes")
-    campaign.add_argument("--chunksize", type=int, default=1,
-                          help="injections per parallel work chunk")
     campaign.add_argument("--store",
                           help="study directory: checkpoint each injection "
                                "as it completes and resume interrupted runs")
@@ -437,9 +435,7 @@ def _main(argv: list[str] | None = None) -> int:
         )
 
         if args.workers:
-            executor = ParallelExecutor(
-                max_workers=args.workers, chunksize=args.chunksize
-            )
+            executor = ParallelExecutor(max_workers=args.workers)
         else:
             executor = None
 

@@ -1,19 +1,18 @@
 """The campaign engine: the one place the injection-run loop lives.
 
-Historically the per-injection loop existed three times — in
-``Campaign.run_transient``, in ``run_transient_parallel`` and in
-``run_resumable_campaign`` — and the copies diverged (the parallel worker
-rebuilt its sandbox from ``seed`` + ``instruction_budget`` only, silently
-dropping ``family``, ``num_sms``, ``global_mem_bytes`` and ``extra_env``).
 :class:`CampaignEngine` owns the golden → profile → select → inject →
-classify pipeline exactly once, so serial, parallel and resumed campaigns
-can never drift apart again.
+classify pipeline exactly once.  Every way of running injections —
+fixed-N and adaptive transient campaigns, permanent and intermittent
+runs, and the service scheduler's per-shard :meth:`CampaignEngine.run_batch`
+— builds its tasks with ``_tasks`` and drains the executor's results
+through ``_inject``, so serial, parallel, resumed and sharded campaigns
+resume, classify, checkpoint and account identically.
 
 Orthogonal knobs plug into the engine:
 
 * an **executor** — :class:`SerialExecutor` runs injections in-process;
   :class:`ParallelExecutor` fans frozen, picklable work items out over a
-  ``ProcessPoolExecutor`` with configurable chunking, carrying the *full*
+  ``ProcessPoolExecutor``, one task per future, carrying the *full*
   :class:`~repro.runner.sandbox.SandboxSpec` to every worker;
 * an optional **store** — a :class:`~repro.core.store.CampaignStore`; each
   injection is persisted the moment it completes (not at campaign end), so
@@ -203,11 +202,6 @@ def execute_task(
     )
 
 
-def _execute_chunk(tasks: list[InjectionTask]) -> list[InjectionOutput]:
-    """Worker entry point for the process pool: one pickled chunk of tasks."""
-    return [execute_task(task) for task in tasks]
-
-
 # -- executors ----------------------------------------------------------------
 
 # What executors yield: a completed injection, or a task that exhausted its
@@ -268,13 +262,14 @@ class SerialExecutor:
 
 
 class _Flight:
-    """One chunk in the air: which chunk, its deadline, and whether it flew
-    alone (solo flights give exact blame when the pool breaks)."""
+    """One task in the air: its position in the task list, its deadline, and
+    whether it flew alone (solo flights give exact blame when the pool
+    breaks)."""
 
-    __slots__ = ("chunk_id", "deadline", "solo")
+    __slots__ = ("tid", "deadline", "solo")
 
-    def __init__(self, chunk_id: int, deadline: float | None, solo: bool) -> None:
-        self.chunk_id = chunk_id
+    def __init__(self, tid: int, deadline: float | None, solo: bool) -> None:
+        self.tid = tid
         self.deadline = deadline
         self.solo = solo
 
@@ -299,41 +294,36 @@ def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
 class ParallelExecutor:
     """Fans injections out over a ``ProcessPoolExecutor``.
 
-    ``chunksize`` trades dispatch overhead against checkpoint granularity:
-    results are yielded (and therefore persisted) as each chunk completes,
-    so ``chunksize=1`` (the default) checkpoints every single injection.
-    Workers buffer their trace events and ship them back inside each
-    :class:`InjectionOutput` (the ``tracer`` argument is parent-side only).
+    Each future carries one task, so results are yielded (and therefore
+    persisted) injection by injection.  Workers buffer their trace events
+    and ship them back inside each :class:`InjectionOutput` (the ``tracer``
+    argument is parent-side only).
 
     Failure handling (the campaign-monitor role of the paper's scripts):
 
-    * a chunk whose worker **raises** fails only itself; it is retried with
-      deterministic backoff and yielded as
-      :class:`~repro.core.resilience.TaskFailure` records once the
+    * a task whose worker **raises** fails only itself; it is retried with
+      deterministic backoff and yielded as a
+      :class:`~repro.core.resilience.TaskFailure` once the
       :class:`~repro.core.resilience.RetryPolicy` is exhausted;
     * a worker **death** breaks the whole pool (every in-flight future gets
       ``BrokenProcessPool``); the pool is respawned and the victims are
-      re-flown *one at a time*, so blame lands exactly on the chunk that
+      re-flown *one at a time*, so blame lands exactly on the task that
       kills its worker — innocent co-flights are re-run without being
       charged an attempt;
-    * a chunk that exceeds the policy's parent-side **wall-clock deadline**
-      (``task_timeout`` seconds per task) has its workers killed and is
-      charged a ``"timeout"`` failure — the process-level complement of the
-      in-sim instruction budget.  The charge lands only once the chunk has
-      hung *solo*: a chunk merely queued behind a stalled neighbour shares
-      its wall-clock and is re-flown alone, uncharged.
+    * a task that exceeds the policy's parent-side **wall-clock deadline**
+      (``task_timeout`` seconds) has its workers killed and is charged a
+      ``"timeout"`` failure — the process-level complement of the in-sim
+      instruction budget.  The charge lands only once the task has hung
+      *solo*: a task merely queued behind a stalled neighbour shares its
+      wall-clock and is re-flown alone, uncharged.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
-        chunksize: int = 1,
         retry: RetryPolicy | None = None,
     ) -> None:
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         self.max_workers = max_workers
-        self.chunksize = chunksize
         self.retry = retry
 
     def run(
@@ -355,39 +345,34 @@ class ParallelExecutor:
                 "parallel execution needs registry workloads (workers rebuild "
                 f"the app by name); unknown: {sorted(unregistered)}"
             )
-        chunks = [
-            tasks[start : start + self.chunksize]
-            for start in range(0, len(tasks), self.chunksize)
-        ]
 
-        queue: deque[int] = deque(range(len(chunks)))  # awaiting first/clean flight
+        queue: deque[int] = deque(range(len(tasks)))  # awaiting first/clean flight
         suspects: deque[int] = deque()  # re-flown solo after a pool break
-        delayed: list[tuple[float, int]] = []  # (ready time, chunk) backoff retries
-        failures: dict[int, int] = {cid: 0 for cid in range(len(chunks))}
-        expired: set[int] = set()  # chunks whose deadline we killed the pool for
+        delayed: list[tuple[float, int]] = []  # (ready time, task) backoff retries
+        failures: dict[int, int] = {tid: 0 for tid in range(len(tasks))}
+        expired: set[int] = set()  # tasks whose deadline we killed the pool for
         flights: dict = {}  # Future -> _Flight
         respawns = 0
-        # A poison chunk costs at most ~2 respawns per attempt (one mass
+        # A poison task costs at most ~2 respawns per attempt (one mass
         # break + one solo break); anything past this bound is a harness bug.
-        respawn_cap = 2 * policy.max_attempts * len(chunks) + 4
+        respawn_cap = 2 * policy.max_attempts * len(tasks) + 4
 
-        def deadline_for(cid: int) -> float | None:
+        def deadline() -> float | None:
             if not policy.task_timeout:
                 return None
-            return time.monotonic() + policy.task_timeout * len(chunks[cid])
+            return time.monotonic() + policy.task_timeout
 
-        def charge(cid: int, reason: str, error: str) -> Iterator[TaskFailure]:
-            """Count one failed attempt; schedule a retry or yield failures."""
-            failures[cid] += 1
-            attempt = failures[cid]
+        def charge(tid: int, reason: str, error: str) -> Iterator[TaskFailure]:
+            """Count one failed attempt; schedule a retry or yield the failure."""
+            failures[tid] += 1
+            attempt = failures[tid]
+            failure = TaskFailure(tasks[tid].index, attempt, error, reason)
             if policy.should_retry(attempt):
-                delay = policy.delay(attempt, key=chunks[cid][0].index)
-                for task in chunks[cid]:
-                    notify(TaskFailure(task.index, attempt, error, reason), delay)
-                delayed.append((time.monotonic() + delay, cid))
+                delay = policy.delay(attempt, key=tasks[tid].index)
+                notify(failure, delay)
+                delayed.append((time.monotonic() + delay, tid))
             else:
-                for task in chunks[cid]:
-                    yield TaskFailure(task.index, attempt, error, reason)
+                yield failure
 
         def respawn_pool() -> ProcessPoolExecutor:
             nonlocal respawns
@@ -401,33 +386,33 @@ class ParallelExecutor:
 
         def settle_broken_pool(extra_victim: int | None = None) -> Iterator[TaskFailure]:
             """The pool died: blame what can be blamed, re-fly the rest solo."""
-            victims = sorted(flights.values(), key=lambda f: f.chunk_id)
+            victims = sorted(flights.values(), key=lambda f: f.tid)
             flights.clear()
             if extra_victim is not None:
                 queue.appendleft(extra_victim)
             for flight in victims:
-                cid = flight.chunk_id
-                if flight.solo and cid in expired:
-                    expired.discard(cid)
+                tid = flight.tid
+                if flight.solo and tid in expired:
+                    expired.discard(tid)
                     yield from charge(
-                        cid,
+                        tid,
                         "timeout",
                         "worker exceeded the wall-clock deadline "
                         f"({policy.task_timeout}s per task)",
                     )
                 elif flight.solo:
-                    # Flying alone: this chunk killed its worker, full stop.
+                    # Flying alone: this task killed its worker, full stop.
                     yield from charge(
-                        cid, "worker-death",
+                        tid, "worker-death",
                         "worker process died before finishing (broken pool)",
                     )
                 else:
-                    # A shared flight proves nothing — a chunk queued behind
+                    # A shared flight proves nothing — a task queued behind
                     # a hung or dying neighbour shares its wall-clock.  Only
                     # a *solo* expiry or death is charged; everyone else is
                     # re-flown alone, uncharged.
-                    expired.discard(cid)
-                    suspects.append(cid)
+                    expired.discard(tid)
+                    suspects.append(tid)
 
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
@@ -438,24 +423,24 @@ class ParallelExecutor:
                     for entry in due:
                         delayed.remove(entry)
                         queue.append(entry[1])
-                # Submission: while suspects exist, fly exactly one chunk at
+                # Submission: while suspects exist, fly exactly one task at
                 # a time (exact blame); otherwise fan the queue out.
                 broken_on_submit: int | None = None
                 try:
                     if suspects:
                         if not flights:
-                            cid = suspects.popleft()
-                            flights[pool.submit(_execute_chunk, chunks[cid])] = (
-                                _Flight(cid, deadline_for(cid), solo=True)
+                            tid = suspects.popleft()
+                            flights[pool.submit(execute_task, tasks[tid])] = (
+                                _Flight(tid, deadline(), solo=True)
                             )
                     elif queue:
                         while queue:
-                            cid = queue.popleft()
-                            flights[pool.submit(_execute_chunk, chunks[cid])] = (
-                                _Flight(cid, deadline_for(cid), solo=False)
+                            tid = queue.popleft()
+                            flights[pool.submit(execute_task, tasks[tid])] = (
+                                _Flight(tid, deadline(), solo=False)
                             )
                 except BrokenProcessPool:
-                    broken_on_submit = cid
+                    broken_on_submit = tid
                 if broken_on_submit is not None:
                     yield from settle_broken_pool(extra_victim=broken_on_submit)
                     pool = respawn_pool()
@@ -478,25 +463,23 @@ class ParallelExecutor:
                 for future in done:
                     flight = flights.pop(future)
                     try:
-                        outputs = future.result()
+                        output = future.result()
                     except BrokenProcessPool:
                         flights[future] = flight  # hand back for settlement
                         broken = True
                         # Keep draining ``done``: a sibling that *completed*
                         # in the same batch must be yielded, not re-flown.
                         continue
-                    except Exception as exc:  # the chunk raised in its worker
-                        yield from charge(
-                            flight.chunk_id, "exception", format_error(exc)
-                        )
+                    except Exception as exc:  # the task raised in its worker
+                        yield from charge(flight.tid, "exception", format_error(exc))
                     else:
-                        expired.discard(flight.chunk_id)
-                        yield from outputs
+                        expired.discard(flight.tid)
+                        yield output
                 if broken:
                     yield from settle_broken_pool()
                     pool = respawn_pool()
                     continue
-                # Watchdog: kill the pool under chunks that blew their
+                # Watchdog: kill the pool under tasks that blew their
                 # wall-clock deadline; the break is settled next iteration.
                 now = time.monotonic()
                 hung = [
@@ -504,7 +487,7 @@ class ParallelExecutor:
                 ]
                 if hung:
                     for flight in hung:
-                        expired.add(flight.chunk_id)
+                        expired.add(flight.tid)
                     _kill_pool_processes(pool)
         finally:
             # Never block on a wedged worker during unwind (SIGINT included).
@@ -689,9 +672,9 @@ class CampaignEngine:
         self._stream = SeedSequenceStream(self.config.seed, path=self.app.name)
         self.golden: RunArtifacts | None = None
         self.profile: ProgramProfile | None = None
-        # The cached fixed-N transient site plan (the v2 pump API draws
-        # batches against it; selection is deterministic, so caching it
-        # cannot perturb the RNG stream).
+        # The cached fixed-N transient site plan (run_batch runs shards of
+        # it; selection is deterministic, so caching it cannot perturb the
+        # RNG stream).
         self._plan: list[TransientParams] | None = None
         self.golden_time = 0.0
         self.profile_time = 0.0
@@ -969,15 +952,110 @@ class CampaignEngine:
 
     # -- campaigns --------------------------------------------------------------
 
-    def _transient_builders(self, sites: Sequence[TransientParams]):
-        """The classify/quarantine result builders for a transient site plan.
+    def run_transient(
+        self, sites: list[TransientParams] | None = None
+    ) -> TransientCampaignResult:
+        """The full transient campaign (Figure 1 for N faults)."""
+        if sites is None:
+            if self._adaptive_enabled():
+                return self._run_transient_adaptive()
+            sites = self.plan_transient()
+        if self.golden is None:
+            self.run_golden()
+        try:
+            by_index = self._inject_transient(sites, range(len(sites)))
+        except CampaignInterrupted as interrupt:
+            if self.store is not None:
+                self.store.save_partial_results_csv(interrupt.completed)
+            raise KeyboardInterrupt from None
+        results = [by_index[index] for index in range(len(sites))]
+        tally = OutcomeTally()
+        for item in results:
+            tally.add(item.outcome)
+        result = TransientCampaignResult(
+            results=results,
+            tally=tally,
+            golden_time=self.golden_time,
+            profile_time=self.profile_time,
+            median_injection_time=_median(r.wall_time for r in results),
+        )
+        if self.store is not None:
+            self.store.save_results_csv(result)
+        return result
 
-        ``sites`` is captured by reference, so the adaptive drive loop's
-        growing plan stays visible to builders created before a batch was
-        appended.  Quarantined runs carry only deterministic fields, so
-        campaigns containing failures still produce byte-identical
-        results.csv files across serial, parallel and resumed execution.
+    def plan_transient(self) -> list[TransientParams]:
+        """The fixed-N transient site plan (golden + profile + select), cached.
+
+        Site selection is a pure function of the campaign seed and the
+        workload, so every process that plans the same config derives the
+        same plan — the property the service scheduler's sharded workers
+        rest on: N workers each call :meth:`plan_transient` independently
+        and then execute disjoint index ranges of the *same* plan.
         """
+        if self._plan is None:
+            self._plan = self.select_sites()
+            if self.golden is None:
+                self.run_golden()
+        return self._plan
+
+    def run_batch(
+        self,
+        indices: Iterable[int] | None = None,
+        stop: "threading.Event | None" = None,
+    ) -> dict[int, TransientResult]:
+        """Run the given indices of the fixed-N plan; what a scheduler worker
+        runs per leased shard.
+
+        Indices already in the store are resumed under the same parameter
+        check as :meth:`run_transient` (a store holding another campaign's
+        results raises); everything else flows through the engine's one
+        injection loop.  ``indices`` defaults to the whole plan.  Returns
+        the requested indices' results, keyed by index.
+
+        ``stop`` is a cooperative abandon signal (a ``threading.Event``):
+        once set, the completed result in flight is still kept (it is
+        already checkpointed) but no further task starts.  The scheduler
+        sets it when a worker's unit lease is lost, so the worker stops
+        burning duplicate work the moment it is presumed dead.
+        """
+        sites = self.plan_transient()
+        wanted = range(len(sites)) if indices is None else list(indices)
+        for index in wanted:
+            if not 0 <= index < len(sites):
+                raise ReproError(
+                    f"site index {index} outside the plan "
+                    f"(0..{len(sites) - 1})"
+                )
+        try:
+            return self._inject_transient(sites, wanted, stop=stop)
+        except CampaignInterrupted:
+            # Per-injection checkpoints are already stored; exit cleanly.
+            raise KeyboardInterrupt from None
+
+    def _inject_transient(
+        self,
+        sites: Sequence[TransientParams],
+        indices: Sequence[int],
+        stop: "threading.Event | None" = None,
+        done_before: int = 0,
+    ) -> dict[int, TransientResult]:
+        """Resume, then inject, the given indices of a transient site plan.
+
+        Quarantined runs carry only deterministic fields, so campaigns
+        containing failures still produce byte-identical results.csv files
+        across serial, parallel and resumed execution.
+        """
+        store = self.store
+        loaded = {}
+        if store is not None:
+            wanted = set(indices)
+            loaded = self._load_completed(
+                sites,
+                completed=[
+                    i for i in store.completed_injections() if i in wanted
+                ],
+                load=store.load_injection,
+            )
 
         def build(output: InjectionOutput) -> TransientResult:
             outcome = classify(self.app, self.golden, output.artifacts)
@@ -998,215 +1076,17 @@ class CampaignEngine:
                 instructions=0,
             )
 
-        return build, build_failure
-
-    def run_transient(
-        self, sites: list[TransientParams] | None = None
-    ) -> TransientCampaignResult:
-        """The full transient campaign (Figure 1 for N faults)."""
-        if sites is None:
-            if self._adaptive_enabled():
-                return self._run_transient_adaptive()
-            sites = self.plan_transient()
-        if self.golden is None:
-            self.run_golden()
-
-        loaded = self._load_completed(
+        return self._inject(
             sites,
-            completed=self.store.completed_injections() if self.store else [],
-            load=lambda index: self.store.load_injection(index),
-        )
-        build, build_failure = self._transient_builders(sites)
-
-        try:
-            results = self._inject(
-                sites,
-                kind="transient",
-                loaded=loaded,
-                build=build,
-                save=(
-                    (lambda index, item: self.store.save_injection(index, item))
-                    if self.store
-                    else None
-                ),
-                build_failure=build_failure,
-            )
-        except CampaignInterrupted as interrupt:
-            if self.store is not None:
-                self.store.save_partial_results_csv(interrupt.completed)
-            raise KeyboardInterrupt from None
-        tally = OutcomeTally()
-        for item in results:
-            tally.add(item.outcome)
-        result = TransientCampaignResult(
-            results=results,
-            tally=tally,
-            golden_time=self.golden_time,
-            profile_time=self.profile_time,
-            median_injection_time=_median(r.wall_time for r in results),
-        )
-        if self.store is not None:
-            self.store.save_results_csv(result)
-        return result
-
-    # -- the v2 pump API (external drivers, e.g. the service scheduler) --------
-
-    def plan_transient(self) -> list[TransientParams]:
-        """The fixed-N transient site plan (golden + profile + select), cached.
-
-        Site selection is a pure function of the campaign seed and the
-        workload, so every process that plans the same config derives the
-        same plan — the property the service scheduler's sharded workers
-        rest on: N workers each call :meth:`plan_transient` independently
-        and then execute disjoint index ranges of the *same* plan.
-        """
-        if self._plan is None:
-            self._plan = self.select_sites()
-            if self.golden is None:
-                self.run_golden()
-        return self._plan
-
-    def draw_batch(
-        self, indices: Iterable[int] | None = None
-    ) -> list[InjectionTask]:
-        """Frozen, executor-ready tasks for the given plan indices.
-
-        Defaults to the whole plan.  Indices whose results are already in
-        the store are skipped (exactly the resume rule of
-        :meth:`run_transient`), and tasks are grouped by fast-forward
-        target launch so neighbours share the replay log's page cache.
-        Results are keyed by index, so the ordering cannot change
-        ``results.csv``.
-        """
-        sites = self.plan_transient()
-        if indices is None:
-            indices = range(len(sites))
-        wanted = list(indices)
-        for index in wanted:
-            if not 0 <= index < len(sites):
-                raise ReproError(
-                    f"site index {index} outside the plan "
-                    f"(0..{len(sites) - 1})"
-                )
-        completed = (
-            set(self.store.completed_injections()) if self.store else set()
-        )
-        spec = self._injection_spec()
-        fast_forward = self._replay_path is not None
-        tasks = [
-            InjectionTask(
-                index,
-                self.app.name,
-                CampaignKind.TRANSIENT.value,
-                sites[index],
-                spec,
-                replay=(
-                    self._replay_ref_for(sites[index]) if fast_forward else None
-                ),
-            )
-            for index in wanted
-            if index not in completed
-        ]
-        tasks.sort(
-            key=lambda t: (
-                t.replay.stop_launch if t.replay is not None else -1,
-                t.index,
-            )
-        )
-        return tasks
-
-    def ingest_results(
-        self, results: Iterable[InjectionOutput | TaskFailure]
-    ) -> dict[int, TransientResult]:
-        """Classify, persist and account raw executor output, as it arrives.
-
-        The streaming half of the pump API: an external driver runs
-        :meth:`draw_batch` tasks through any executor (in-process or not)
-        and feeds the outputs here.  Each result is checkpointed the moment
-        it is ingested, emits the same ``injection`` trace event and
-        counters as :meth:`run_transient`, and failures follow the
-        configured retry policy's terminal action (quarantine or raise).
-        Returns results keyed by plan index, in completion order.
-        """
-        sites = self.plan_transient()
-        build, build_failure = self._transient_builders(sites)
-        policy = self.config.retry
-        kind = CampaignKind.TRANSIENT.value
-        ingested: dict[int, TransientResult] = {}
-        for output in results:
-            if isinstance(output, TaskFailure):
-                if policy.on_failure == "raise":
-                    raise ReproError(
-                        f"injection task {output.index} failed after "
-                        f"{output.attempts} attempt(s) "
-                        f"[{output.reason}]: {output.error}"
-                    )
-                item = self._quarantine(output, build_failure, kind)
-            else:
-                item = build(output)
-                self.tracer.ingest(output.events)
-                self._record_run_metrics(output.artifacts, injection=True)
-            index = output.index
-            ingested[index] = item
-            if self.store is not None:
-                self.store.save_injection(index, item)
-            self._emit_injection_event(
-                index,
-                item,
-                kind,
-                output=output if isinstance(output, InjectionOutput) else None,
-            )
-            self._count_outcome(item)
-            self.metrics.injections_done += 1
-            self.metrics.tally.add(item.outcome)
-            self.hooks.on_injection(
-                index,
-                item.outcome,
-                self.metrics.injections_done,
-                len(sites),
-                self.metrics.tally,
-            )
-        return ingested
-
-    def run_batch(
-        self,
-        indices: Iterable[int] | None = None,
-        stop: "threading.Event | None" = None,
-    ) -> dict[int, TransientResult]:
-        """Draw the given plan indices and pump them through the executor.
-
-        ``draw_batch`` + ``executor.run`` + ``ingest_results`` in one call —
-        what a scheduler worker runs per leased shard.  Already-completed
-        indices are skipped; everything else flows through the engine's
-        normal retry, fast-forward and checkpoint machinery.
-
-        ``stop`` is a cooperative abandon signal (a ``threading.Event``):
-        once set, the completed result in flight is still ingested (it is
-        already checkpointed) but no further task starts.  The scheduler
-        sets it when a worker's unit lease is lost, so the worker stops
-        burning duplicate work the moment it is presumed dead.
-        """
-        tasks = self.draw_batch(indices)
-        self.metrics.injections_total = len(self.plan_transient())
-        started = time.perf_counter()
-        with self.tracer.span(
-            "inject",
+            indices,
             kind=CampaignKind.TRANSIENT.value,
-            total=len(tasks),
-            fresh=len(tasks),
-        ):
-            runs = self.executor.run(
-                tasks,
-                app=self.app,
-                tracer=self.tracer,
-                retry=self.config.retry,
-                on_retry=self._make_on_retry(CampaignKind.TRANSIENT.value),
-            )
-            if stop is not None:
-                runs = _stop_when(runs, stop)
-            results = self.ingest_results(runs)
-        self._phase("inject", time.perf_counter() - started)
-        return results
+            loaded=loaded,
+            build=build,
+            build_failure=build_failure,
+            save=store.save_injection if store is not None else None,
+            stop=stop,
+            done_before=done_before,
+        )
 
     def _adaptive_enabled(self) -> bool:
         """Any adaptive knob set? Both ``None`` keeps the fixed-N fast path."""
@@ -1249,7 +1129,6 @@ class CampaignEngine:
         checkpoint = AdaptiveCheckpoint(fingerprint)
         checkpoint.batches = state.batches  # shared: grows with the tape
         tape: AdaptiveCheckpoint | None = None
-        completed: list[int] = []
         if self.store is not None:
             stored = self.store.load_adaptive_state()
             if stored is not None:
@@ -1260,15 +1139,11 @@ class CampaignEngine:
                         "(plan, rule, budget or seed); use a fresh study "
                         "directory"
                     )
-            completed = self.store.completed_injections()
 
         rng = self._stream.child("sites").generator()
         sites: list[TransientParams] = []
         results: list[TransientResult] = []
-        total_loaded = 0
         stopped_early_at: int | None = None
-
-        build, build_failure = self._transient_builders(sites)
 
         with self.tracer.span(
             "campaign",
@@ -1309,26 +1184,9 @@ class CampaignEngine:
                             "the re-derived decision sequence; use a fresh "
                             "study directory"
                         )
-                loaded = self._load_completed(
-                    sites,
-                    completed=[i for i in completed if i >= start],
-                    load=lambda index: self.store.load_injection(index),
-                )
-                total_loaded += len(loaded)
                 try:
-                    batch_results = self._inject(
-                        sites,
-                        kind="transient",
-                        loaded=loaded,
-                        build=build,
-                        save=(
-                            (lambda index, item:
-                             self.store.save_injection(index, item))
-                            if self.store
-                            else None
-                        ),
-                        build_failure=build_failure,
-                        start=start,
+                    by_index = self._inject_transient(
+                        sites, range(start, len(sites)), done_before=start
                     )
                 except CampaignInterrupted as interrupt:
                     if self.store is not None:
@@ -1337,7 +1195,9 @@ class CampaignEngine:
                         self.store.save_partial_results_csv(by_index)
                         self.store.save_adaptive_state(checkpoint.to_dict())
                     raise KeyboardInterrupt from None
-                self.metrics.injections_loaded = total_loaded
+                batch_results = [
+                    by_index[index] for index in range(start, len(sites))
+                ]
                 results.extend(batch_results)
                 for site, item in zip(batch, batch_results):
                     state.record(site.kernel_name, item.outcome)
@@ -1415,13 +1275,15 @@ class CampaignEngine:
         if sites is None:
             sites = self.select_permanent()
         total_dynamic = max(self.profile.total_count(), 1)
-
-        loaded = self._load_completed(
-            sites,
-            completed=(
-                self.store.completed_permanent_injections() if self.store else []
-            ),
-            load=lambda index: self.store.load_permanent_injection(index),
+        store = self.store
+        loaded = (
+            self._load_completed(
+                sites,
+                completed=store.completed_permanent_injections(),
+                load=store.load_permanent_injection,
+            )
+            if store is not None
+            else {}
         )
 
         def build(output: InjectionOutput) -> PermanentResult:
@@ -1450,21 +1312,19 @@ class CampaignEngine:
             )
 
         try:
-            results = self._inject(
+            by_index = self._inject(
                 sites,
-                kind="permanent",
+                range(len(sites)),
+                kind=CampaignKind.PERMANENT.value,
                 loaded=loaded,
                 build=build,
-                save=(
-                    (lambda index, item: self.store.save_permanent_injection(index, item))
-                    if self.store
-                    else None
-                ),
                 build_failure=build_failure,
+                save=store.save_permanent_injection if store is not None else None,
             )
         except CampaignInterrupted:
             # Per-injection checkpoints are already on disk; exit cleanly.
             raise KeyboardInterrupt from None
+        results = [by_index[index] for index in range(len(sites))]
         tally = OutcomeTally()
         for item in results:
             tally.add(item.outcome, weight=item.weight)
@@ -1505,40 +1365,75 @@ class CampaignEngine:
                 wall_time=0.0,
             )
 
-        return self._inject(
+        by_index = self._inject(
             sites,
-            kind="intermittent",
+            range(len(sites)),
+            kind=CampaignKind.INTERMITTENT.value,
             loaded={},
             build=build,
-            save=None,
             build_failure=build_failure,
+            save=None,
         )
+        return [by_index[index] for index in range(len(sites))]
 
     # -- the one injection loop -------------------------------------------------
+
+    def _tasks(
+        self, kind: str, sites: Sequence, indices: Iterable[int]
+    ) -> list[InjectionTask]:
+        """Frozen, executor-ready tasks for the given site indices.
+
+        Transient tasks carry their fast-forward reference and are grouped
+        by target launch, so neighbours share the replay log's page cache.
+        Results are keyed by index, so the ordering cannot change
+        ``results.csv``.
+        """
+        spec = self._injection_spec()
+        fast_forward = kind == "transient" and self._replay_path is not None
+        tasks = [
+            InjectionTask(
+                index,
+                self.app.name,
+                kind,
+                sites[index],
+                spec,
+                replay=self._replay_ref_for(sites[index]) if fast_forward else None,
+            )
+            for index in indices
+        ]
+        tasks.sort(
+            key=lambda t: (
+                t.replay.stop_launch if t.replay is not None else -1,
+                t.index,
+            )
+        )
+        return tasks
 
     def _inject(
         self,
         sites: Sequence,
+        indices: Iterable[int],
         kind: str,
         loaded: dict[int, object],
         build: Callable[[InjectionOutput], object],
+        build_failure: Callable[[TaskFailure], object],
         save: Callable[[int, object], None] | None,
-        build_failure: Callable[[TaskFailure], object] | None = None,
-        start: int = 0,
-    ) -> list:
-        """Run every site not already in ``loaded``; return results in site order.
+        stop: "threading.Event | None" = None,
+        done_before: int = 0,
+    ) -> dict:
+        """Run the given site indices not already in ``loaded``.
 
-        ``start`` supports the adaptive drive loop: ``sites`` is the full
-        accumulated plan, but only indices ``>= start`` (the current batch)
-        are run — everything before was completed by earlier batches.  The
-        returned list covers exactly ``sites[start:]``.
+        Returns the results keyed by index: ``loaded`` plus every injection
+        classified here.  ``done_before`` counts completed sites outside
+        ``indices`` (the adaptive loop's earlier batches) for the progress
+        hook.  ``stop`` (see :meth:`run_batch`) ends the run early.
 
-        Completed injections are handed to ``save`` the moment they finish
-        (chunk-by-chunk under the parallel executor), so an interrupted
-        campaign loses at most the in-flight chunk.  Every injection —
-        resumed and quarantined ones included — emits one ``injection``
-        trace event, so the events in a trace sum to the campaign's final
-        tally exactly.
+        Completed injections are handed to ``save`` the moment they finish,
+        so an interrupted campaign loses at most the runs in flight.  Every
+        injection — resumed and quarantined ones included — emits one
+        ``injection`` trace event, so the events in a trace sum to the
+        campaign's final tally exactly; ``hooks.on_injection`` fires for
+        fresh ones only.
 
         Tasks the harness could not complete (worker raised, died or hung
         past every retry) arrive as :class:`TaskFailure` records; per
@@ -1550,36 +1445,15 @@ class CampaignEngine:
         :class:`CampaignInterrupted` carrying everything completed so far.
         """
         policy = self.config.retry
-        spec = self._injection_spec()
-        fast_forward = kind == "transient" and self._replay_path is not None
-        tasks = [
-            InjectionTask(
-                index,
-                self.app.name,
-                kind,
-                site,
-                spec,
-                replay=self._replay_ref_for(site) if fast_forward else None,
-            )
-            for index, site in enumerate(sites)
-            if index >= start and index not in loaded
-        ]
-        if fast_forward:
-            # Group tasks by target launch: neighbours share the replay
-            # log's page cache and (under the parallel executor) chunks stay
-            # launch-coherent.  Results are keyed by index, so the ordering
-            # cannot change results.csv.
-            tasks.sort(
-                key=lambda t: (
-                    t.replay.stop_launch if t.replay is not None else -1,
-                    t.index,
-                )
-            )
+        tasks = self._tasks(
+            kind, sites, [index for index in indices if index not in loaded]
+        )
         by_index: dict[int, object] = dict(loaded)
-        self.metrics.injections_total = len(sites)
-        self.metrics.injections_loaded = len(loaded)
+        metrics = self.metrics
+        metrics.injections_total = len(sites)
+        metrics.injections_loaded += len(loaded)
         started = time.perf_counter()
-        on_retry = self._make_on_retry(kind)
+        seconds_before = metrics.inject_seconds
 
         with self.tracer.span(
             "inject",
@@ -1589,9 +1463,7 @@ class CampaignEngine:
         ):
             for index in sorted(loaded):
                 item = loaded[index]
-                self.metrics.tally.add(
-                    item.outcome, weight=getattr(item, "weight", 1.0)
-                )
+                metrics.tally.add(item.outcome, weight=getattr(item, "weight", 1.0))
                 self._count_outcome(item)
                 self._emit_injection_event(index, item, kind, resumed=True)
             runs = self.executor.run(
@@ -1599,12 +1471,14 @@ class CampaignEngine:
                 app=self.app,
                 tracer=self.tracer,
                 retry=policy,
-                on_retry=on_retry,
+                on_retry=self._make_on_retry(kind),
             )
+            if stop is not None:
+                runs = _stop_when(runs, stop)
             try:
                 for output in runs:
                     if isinstance(output, TaskFailure):
-                        if policy.on_failure == "raise" or build_failure is None:
+                        if policy.on_failure == "raise":
                             raise ReproError(
                                 f"injection task {output.index} failed after "
                                 f"{output.attempts} attempt(s) "
@@ -1626,17 +1500,19 @@ class CampaignEngine:
                         output=output if isinstance(output, InjectionOutput) else None,
                     )
                     self._count_outcome(item)
-                    self.metrics.injections_done += 1
-                    self.metrics.inject_seconds = time.perf_counter() - started
-                    self.metrics.tally.add(
+                    metrics.injections_done += 1
+                    metrics.inject_seconds = (
+                        seconds_before + time.perf_counter() - started
+                    )
+                    metrics.tally.add(
                         item.outcome, weight=getattr(item, "weight", 1.0)
                     )
                     self.hooks.on_injection(
                         index,
                         item.outcome,
-                        start + len(by_index),
+                        done_before + len(by_index),
                         len(sites),
-                        self.metrics.tally,
+                        metrics.tally,
                     )
             except KeyboardInterrupt:
                 # Everything in ``by_index`` is already checkpointed (``save``
@@ -1644,7 +1520,7 @@ class CampaignEngine:
                 # so it can write a clean partial results.csv and re-raise.
                 raise CampaignInterrupted(by_index, len(sites)) from None
         self._phase("inject", time.perf_counter() - started)
-        return [by_index[index] for index in range(start, len(sites))]
+        return by_index
 
     def _make_on_retry(self, kind: str) -> OnRetry:
         """The retry-accounting callback handed to the executor."""

@@ -1,15 +1,16 @@
 """Tests for the stable :mod:`repro.api` facade.
 
 The core property: the facade is a thin skin over the engine, so api-driven
-campaigns are byte-identical (results.csv) to the legacy entry points, and
-api site selection reproduces the engine's RNG stream exactly.
+campaigns are byte-identical (results.csv) to driving the engine directly,
+and api site selection reproduces the engine's RNG stream exactly.
 """
 
 import pytest
 
 import repro
 from repro import api
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.params import PermanentParams
 from repro.core.store import CampaignStore
 from repro.errors import ReproError
@@ -40,7 +41,7 @@ class TestProfile:
 class TestSelectSites:
     def test_matches_engine_selection_exactly(self):
         config = CampaignConfig(num_transient=6, seed=11)
-        campaign = Campaign(get_workload(WORKLOAD), config)
+        campaign = CampaignEngine(get_workload(WORKLOAD), config)
         engine_sites = campaign.select_sites()
 
         profile = api.profile(WORKLOAD)
@@ -88,18 +89,15 @@ class TestRunCampaign:
         api_store = CampaignStore(tmp_path / "api")
         api_result = api.run_campaign(config, store=api_store)
 
-        legacy = Campaign(get_workload(WORKLOAD), config)
-        with pytest.warns(DeprecationWarning):
-            legacy_result = legacy.run_transient()
-        legacy.engine.store = CampaignStore(tmp_path / "legacy")
-        legacy.engine.store.save_campaign(
-            legacy.engine.golden, legacy.engine.profile, legacy_result
-        )
+        direct = CampaignEngine(get_workload(WORKLOAD), config)
+        direct_result = direct.run_transient()
+        direct.store = CampaignStore(tmp_path / "direct")
+        direct.store.save_campaign(direct.golden, direct.profile, direct_result)
 
-        assert api_result.tally.counts == legacy_result.tally.counts
+        assert api_result.tally.counts == direct_result.tally.counts
         api_csv = (tmp_path / "api" / "results.csv").read_bytes()
-        legacy_csv = (tmp_path / "legacy" / "results.csv").read_bytes()
-        assert api_csv == legacy_csv
+        direct_csv = (tmp_path / "direct" / "results.csv").read_bytes()
+        assert api_csv == direct_csv
 
     def test_permanent_kind(self):
         config = CampaignConfig(workload=WORKLOAD, seed=2)
@@ -112,15 +110,6 @@ class TestRunCampaign:
             api.run_campaign(
                 CampaignConfig(workload=WORKLOAD), kind="cosmic"
             )
-
-
-class TestDeprecations:
-    def test_legacy_run_transient_warns(self):
-        campaign = Campaign(
-            get_workload(WORKLOAD), CampaignConfig(num_transient=1, seed=1)
-        )
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            campaign.run_transient()
 
 
 class TestTopLevelExports:

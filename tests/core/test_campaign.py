@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.core.params import IntermittentParams, PermanentParams
 from repro.runner.golden import GoldenError
@@ -13,7 +14,7 @@ from repro.workloads import get_workload
 @pytest.fixture(scope="module")
 def campaign():
     config = CampaignConfig(num_transient=12, seed=11)
-    instance = Campaign(get_workload("314.omriq"), config)
+    instance = CampaignEngine(get_workload("314.omriq"), config)
     instance.run_golden()
     instance.run_profile()
     return instance
@@ -37,8 +38,8 @@ class TestPhases:
 
     def test_different_seeds_give_different_sites(self):
         app = get_workload("314.omriq")
-        a = Campaign(app, CampaignConfig(seed=1))
-        b = Campaign(app, CampaignConfig(seed=2))
+        a = CampaignEngine(app, CampaignConfig(seed=1))
+        b = CampaignEngine(app, CampaignConfig(seed=2))
         a.run_golden(); a.run_profile()
         b.run_golden(); b.run_profile()
         assert a.select_sites(5) != b.select_sites(5)
@@ -62,7 +63,7 @@ class TestTransientCampaign:
 
     def test_reproducible_outcomes(self):
         def run():
-            instance = Campaign(
+            instance = CampaignEngine(
                 get_workload("360.ilbdc"),
                 CampaignConfig(num_transient=6, seed=5),
             )
@@ -92,7 +93,7 @@ class TestIntermittentRun:
         site = PermanentParams(sm_id=0, lane_id=0, bit_mask=1 << 3, opcode_id=24)
         params = IntermittentParams(site, process="random",
                                     activation_probability=0.2, seed=1)
-        result = campaign.run_intermittent(params)
+        [result] = campaign.run_intermittent([params])
         assert result.outcome.outcome in Outcome
 
 
@@ -106,7 +107,7 @@ class TestGoldenValidation:
             def run(self, ctx):
                 ctx.exit(1)
 
-        campaign = Campaign(BrokenApp(), CampaignConfig())
+        campaign = CampaignEngine(BrokenApp(), CampaignConfig())
         with pytest.raises(GoldenError, match="status 1"):
             campaign.run_golden()
 
@@ -114,7 +115,7 @@ class TestGoldenValidation:
         config = CampaignConfig(
             sandbox=SandboxConfig(instruction_budget=100)
         )
-        campaign = Campaign(get_workload("314.omriq"), config)
+        campaign = CampaignEngine(get_workload("314.omriq"), config)
         with pytest.raises(GoldenError, match="budget"):
             campaign.run_golden()
 

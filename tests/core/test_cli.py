@@ -175,7 +175,7 @@ class TestHelpSnapshots:
         out = self._help(capsys, "campaign")
         for flag in (
             "--injections", "--group", "--model", "--permanent",
-            "--workers", "--chunksize", "--store", "--progress",
+            "--workers", "--store", "--progress",
             "--format", "--max-attempts", "--task-timeout", "--on-failure",
             "--fast-forward", "--no-fast-forward",
             "--tail-fast-forward", "--no-tail-fast-forward",
@@ -187,7 +187,8 @@ class TestHelpSnapshots:
             assert flag in out, f"{flag} missing from campaign --help"
 
     def test_retired_executor_flags_are_usage_errors(self, capsys):
-        for flag in ("--snapshot", "--no-snapshot", "--batch-launch"):
+        for flag in ("--snapshot", "--no-snapshot", "--batch-launch",
+                     "--chunksize"):
             with pytest.raises(SystemExit) as exc:
                 main(["campaign", "314.omriq", flag])
             assert exc.value.code == 2

@@ -8,6 +8,7 @@ records (SM ids) and outcomes that diverged from the serial campaign.
 """
 
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.core.engine import (
 )
 from repro.core.store import CampaignStore
 from repro.errors import ReproError
+from repro.obs import MemorySink, Tracer, injection_events
 from repro.runner.sandbox import SandboxConfig
 
 _WORKLOAD = "314.omriq"
@@ -177,6 +179,82 @@ class TestGuards:
         with pytest.raises(ReproError, match="different"):
             other.run_transient()
 
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            ParallelExecutor(chunksize=0)
+
+class _Fired(EngineHooks):
+    """Records the index of every ``on_injection`` call."""
+
+    def __init__(self) -> None:
+        self.indices: list[int] = []
+
+    def on_injection(self, index, outcome, completed, total, tally):
+        self.indices.append(index)
+
+
+def _fresh_events(events) -> Counter:
+    """The multiset of non-resumed ``injection`` events (attrs only)."""
+    return Counter(
+        tuple(sorted(event["attrs"].items()))
+        for event in injection_events(events)
+        if not event["attrs"]["resumed"]
+    )
+
+
+class TestRunBatch:
+    """``run_batch`` (the service's per-shard entry) shares the one loop."""
+
+    def test_rejects_another_campaigns_results(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        CampaignEngine(
+            _WORKLOAD, CampaignConfig(num_transient=3, seed=1), store=store
+        ).run_batch([0, 1])
+        other = CampaignEngine(
+            _WORKLOAD, CampaignConfig(num_transient=3, seed=2), store=store
+        )
+        with pytest.raises(ReproError, match="different"):
+            other.run_batch([0, 1, 2])
+
+    def test_measures_inject_seconds(self):
+        engine = CampaignEngine(_WORKLOAD, CampaignConfig(num_transient=2, seed=7))
+        engine.run_batch()
+        assert engine.metrics.injections_done == 2
+        assert engine.metrics.inject_seconds > 0
+        assert engine.metrics.injections_per_second > 0
+
+    def test_out_of_plan_index_rejected(self):
+        engine = CampaignEngine(_WORKLOAD, CampaignConfig(num_transient=2, seed=7))
+        with pytest.raises(ReproError, match="outside the plan"):
+            engine.run_batch([2])
+
+    @pytest.mark.parametrize(
+        "parallel",
+        [False, pytest.param(True, marks=pytest.mark.slow)],
+        ids=["serial", "parallel"],
+    )
+    def test_batch_then_resume_matches_one_campaign(self, tmp_path, parallel):
+        def engine(label, sink, hooks):
+            return CampaignEngine(
+                _WORKLOAD,
+                _config(),
+                executor=(
+                    ParallelExecutor(max_workers=2) if parallel else SerialExecutor()
+                ),
+                store=CampaignStore(tmp_path / label),
+                hooks=hooks,
+                tracer=Tracer(sink=sink),
+            )
+
+        whole_sink, whole_hooks = MemorySink(), _Fired()
+        engine("whole", whole_sink, whole_hooks).run_transient()
+
+        split_sink, split_hooks = MemorySink(), _Fired()
+        engine("split", split_sink, split_hooks).run_batch(range(_N // 2))
+        resumed = engine("split", split_sink, split_hooks)
+        resumed.run_transient()
+
+        assert (tmp_path / "split" / "results.csv").read_bytes() == (
+            tmp_path / "whole" / "results.csv"
+        ).read_bytes()
+        assert resumed.metrics.injections_loaded == _N // 2
+        assert _fresh_events(split_sink.events) == _fresh_events(whole_sink.events)
+        assert sorted(split_hooks.indices) == sorted(whole_hooks.indices)
+        assert sorted(split_hooks.indices) == list(range(_N))

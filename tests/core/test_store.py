@@ -3,7 +3,8 @@
 import pytest
 
 import repro
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.core.store import CampaignStore
 from repro.errors import ReproError
@@ -12,7 +13,7 @@ from repro.workloads import get_workload
 
 @pytest.fixture(scope="module")
 def campaign_result():
-    campaign = Campaign(get_workload("314.omriq"),
+    campaign = CampaignEngine(get_workload("314.omriq"),
                         CampaignConfig(num_transient=5, seed=3))
     result = campaign.run_transient()
     return campaign, result
