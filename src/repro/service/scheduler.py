@@ -12,10 +12,10 @@ fleet of cooperating processes over one :class:`~repro.service.faultdb.FaultDB`:
    is deterministic from the config seed, so every worker derives the
    same plan via ``plan_transient``), then loop: lease a unit
    (``BEGIN IMMEDIATE`` — atomic under concurrent workers), heartbeat it
-   from a background thread, pump it through
-   :meth:`~repro.core.engine.CampaignEngine.run_batch` (the engine's own
-   executor/retry/fast-forward machinery, checkpointing every injection
-   into the database), and mark it done;
+   from a background thread, run it through
+   :meth:`~repro.core.engine.CampaignEngine.run_batch` (the engine's one
+   injection loop, checkpointing every injection into the database), and
+   mark it done;
 4. a worker that dies mid-unit simply stops heartbeating: the lease
    expires and the next ``lease_unit`` call requeues the unit.  Completed
    injections inside the dead worker's unit were already checkpointed, so
