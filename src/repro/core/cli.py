@@ -90,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "quarantined (1 = no retries)")
     campaign.add_argument("--task-timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="parent-side wall-clock deadline per task "
-                               "(parallel executor); hung workers are killed "
-                               "and the task retried or quarantined")
+                          help="parent-side wall-clock deadline per task, "
+                               "counted from when a worker receives it "
+                               "(parallel executor); a hung worker is killed "
+                               "and its task retried or quarantined")
     campaign.add_argument("--on-failure", choices=["quarantine", "raise"],
                           default="quarantine",
                           help="after the final failed attempt: synthesize a "
@@ -386,7 +387,7 @@ def _main(argv: list[str] | None = None) -> int:
     if args.command == "campaign":
         from repro import api
         from repro.core.adaptive import SamplingPlan, StoppingRule
-        from repro.core.engine import EngineHooks, ParallelExecutor
+        from repro.core.engine import EngineHooks, EngineMetrics, ParallelExecutor
         from repro.core.resilience import RetryPolicy
         from repro.core.store import CampaignStore
 
@@ -446,6 +447,7 @@ def _main(argv: list[str] | None = None) -> int:
 
         tracer = _make_tracer(args)
         registry = MetricsRegistry()
+        metrics = EngineMetrics(registry=registry)
         try:
             result = api.run_campaign(
                 config,
@@ -457,13 +459,18 @@ def _main(argv: list[str] | None = None) -> int:
             )
             permanent = None
             if args.permanent:
+                # Both engines share the registry and each sets the total
+                # gauge to its own campaign's size; the summary counts both.
+                transient_total = metrics.injections_total
                 permanent = api.run_campaign(
                     config,
+                    executor=executor,
                     store=CampaignStore(args.store) if args.store else None,
                     tracer=tracer,
                     metrics=registry,
                     kind=CampaignKind.PERMANENT,
                 )
+                metrics.injections_total += transient_total
         except KeyboardInterrupt:
             # Completed injections are already checkpointed (and, with
             # --store, a partial results.csv written); exit like `timeout`-
@@ -527,10 +534,8 @@ def _main(argv: list[str] | None = None) -> int:
             if permanent is not None:
                 print(f"{app.name}: {len(permanent.results)} permanent injections "
                       "(one per executed opcode)")
-                print(permanent.tally.report())
-        from repro.core.engine import EngineMetrics
-
-        print(EngineMetrics(registry=registry).summary(), file=sys.stderr)
+                print(permanent.tally.report(samples=len(permanent.results)))
+        print(metrics.summary(), file=sys.stderr)
         if args.format == "json" and args.metrics:
             # Metrics already embedded in the JSON document; just flush the trace.
             if tracer is not NULL_TRACER:

@@ -11,9 +11,9 @@ resume, classify, checkpoint and account identically.
 Orthogonal knobs plug into the engine:
 
 * an **executor** — :class:`SerialExecutor` runs injections in-process;
-  :class:`ParallelExecutor` fans frozen, picklable work items out over a
-  ``ProcessPoolExecutor``, one task per future, carrying the *full*
-  :class:`~repro.runner.sandbox.SandboxSpec` to every worker;
+  :class:`ParallelExecutor` fans frozen, picklable work items out over
+  forked worker processes, one task per worker at a time, carrying the
+  *full* :class:`~repro.runner.sandbox.SandboxSpec` to every worker;
 * an optional **store** — a :class:`~repro.core.store.CampaignStore`; each
   injection is persisted the moment it completes (not at campaign end), so
   a killed campaign — serial or parallel — resumes where it stopped;
@@ -42,15 +42,16 @@ Prefer the stable facade in :mod:`repro.api` for programmatic use.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
+import signal
 import tempfile
 import threading
 import time
 import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.arch.families import arch_by_name
@@ -227,9 +228,6 @@ class SerialExecutor:
     in-sim instruction budget is the hang detector here.)
     """
 
-    def __init__(self, retry: RetryPolicy | None = None) -> None:
-        self.retry = retry
-
     def run(
         self,
         tasks: Sequence[InjectionTask],
@@ -238,7 +236,7 @@ class SerialExecutor:
         retry: RetryPolicy | None = None,
         on_retry: OnRetry | None = None,
     ) -> Iterator[InjectionOutput | TaskFailure]:
-        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
+        policy = retry or RetryPolicy()
         notify = on_retry or _noop_retry
         for task in tasks:
             attempt = 0
@@ -261,70 +259,93 @@ class SerialExecutor:
                     break
 
 
-class _Flight:
-    """One task in the air: its position in the task list, its deadline, and
-    whether it flew alone (solo flights give exact blame when the pool
-    breaks)."""
-
-    __slots__ = ("tid", "deadline", "solo")
-
-    def __init__(self, tid: int, deadline: float | None, solo: bool) -> None:
-        self.tid = tid
-        self.deadline = deadline
-        self.solo = solo
+# Workers are always forked, whatever the platform's default start method:
+# they inherit the registered workloads (test-registered ones included) and
+# the parent's warm module and replay-log caches.
+_FORK = multiprocessing.get_context("fork")
 
 
-def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's workers (hung-task recovery).
+def _worker_main(conn: Connection) -> None:
+    """A worker's loop: run each task the parent sends, until it sends None.
 
-    ``ProcessPoolExecutor`` has no public kill switch — ``shutdown`` waits
-    for running tasks, which is exactly what a hung worker never finishes.
-    Killing the processes flips the pool into its broken state, failing
-    every in-flight future with ``BrokenProcessPool``, which the run loop
-    then classifies via its deadline bookkeeping.
+    Replies ``(True, output)``, or ``(False, "Type: message")`` when the
+    task raised.  SIGINT is ignored so that only the parent handles Ctrl-C;
+    the parent then kills its workers.
     """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    while True:
         try:
-            process.terminate()
-        except Exception:  # racing a worker that already exited
-            pass
+            task = conn.recv()
+        except EOFError:  # the parent exited without stopping this worker
+            return
+        if task is None:
+            return
+        try:
+            conn.send((True, execute_task(task)))
+        except Exception as exc:  # raised, or the output does not pickle
+            conn.send((False, format_error(exc)))
+
+
+class _Worker:
+    """One forked worker process, and the task it holds (``tid``), if any."""
+
+    def __init__(self) -> None:
+        self.conn, child = _FORK.Pipe()
+        self.process = _FORK.Process(target=_worker_main, args=(child,), daemon=True)
+        # Block SIGINT across the fork so a Ctrl-C cannot reach the child
+        # before it starts ignoring the signal.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        child.close()
+        self.tid: int | None = None
+        self.deadline: float | None = None
+
+    def stop(self) -> None:
+        """Ask an idle worker to exit; kill a busy one.
+
+        An idle worker must be told: closing the pipe is not enough,
+        because workers forked later hold copies of its parent end.
+        """
+        if self.tid is None:
+            try:
+                self.conn.send(None)
+            except OSError:  # it has already exited
+                pass
+        else:
+            self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 class ParallelExecutor:
-    """Fans injections out over a ``ProcessPoolExecutor``.
+    """Fans injections out over up to ``max_workers`` forked processes.
 
-    Each future carries one task, so results are yielded (and therefore
-    persisted) injection by injection.  Workers buffer their trace events
-    and ship them back inside each :class:`InjectionOutput` (the ``tracer``
-    argument is parent-side only).
+    Each worker holds at most one task, sent over its own pipe, so results
+    are yielded (and therefore persisted) injection by injection and every
+    failure is charged to exactly the task that caused it.  Workers buffer
+    their trace events and ship them back inside each
+    :class:`InjectionOutput` (the ``tracer`` argument is parent-side only).
 
-    Failure handling (the campaign-monitor role of the paper's scripts):
-
-    * a task whose worker **raises** fails only itself; it is retried with
-      deterministic backoff and yielded as a
-      :class:`~repro.core.resilience.TaskFailure` once the
-      :class:`~repro.core.resilience.RetryPolicy` is exhausted;
-    * a worker **death** breaks the whole pool (every in-flight future gets
-      ``BrokenProcessPool``); the pool is respawned and the victims are
-      re-flown *one at a time*, so blame lands exactly on the task that
-      kills its worker — innocent co-flights are re-run without being
-      charged an attempt;
-    * a task that exceeds the policy's parent-side **wall-clock deadline**
-      (``task_timeout`` seconds) has its workers killed and is charged a
-      ``"timeout"`` failure — the process-level complement of the in-sim
-      instruction budget.  The charge lands only once the task has hung
-      *solo*: a task merely queued behind a stalled neighbour shares its
-      wall-clock and is re-flown alone, uncharged.
+    Failure handling (the campaign-monitor role of the paper's scripts): a
+    task that **raises** in its worker is charged an ``"exception"``; a
+    worker that **dies** while holding a task charges it a
+    ``"worker-death"``; a task still running past the policy's wall-clock
+    deadline (``task_timeout`` seconds, counted from when its worker
+    received it) is charged a ``"timeout"``.  A dead or overdue worker is
+    killed and replaced; the others keep running.  A charged task is
+    retried with deterministic backoff and yielded as a
+    :class:`~repro.core.resilience.TaskFailure` once the
+    :class:`~repro.core.resilience.RetryPolicy` is exhausted.
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError("max_workers must be greater than 0")
         self.max_workers = max_workers
-        self.retry = retry
 
     def run(
         self,
@@ -334,7 +355,7 @@ class ParallelExecutor:
         retry: RetryPolicy | None = None,
         on_retry: OnRetry | None = None,
     ) -> Iterator[InjectionOutput | TaskFailure]:
-        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
+        policy = retry or RetryPolicy()
         notify = on_retry or _noop_retry
         tasks = list(tasks)
         if not tasks:
@@ -346,21 +367,17 @@ class ParallelExecutor:
                 f"the app by name); unknown: {sorted(unregistered)}"
             )
 
-        queue: deque[int] = deque(range(len(tasks)))  # awaiting first/clean flight
-        suspects: deque[int] = deque()  # re-flown solo after a pool break
+        limit = self.max_workers or os.cpu_count() or 1
+        queue: deque[int] = deque(range(len(tasks)))
         delayed: list[tuple[float, int]] = []  # (ready time, task) backoff retries
-        failures: dict[int, int] = {tid: 0 for tid in range(len(tasks))}
-        expired: set[int] = set()  # tasks whose deadline we killed the pool for
-        flights: dict = {}  # Future -> _Flight
-        respawns = 0
-        # A poison task costs at most ~2 respawns per attempt (one mass
-        # break + one solo break); anything past this bound is a harness bug.
-        respawn_cap = 2 * policy.max_attempts * len(tasks) + 4
+        failures = [0] * len(tasks)
+        workers: list[_Worker] = []
 
-        def deadline() -> float | None:
-            if not policy.task_timeout:
-                return None
-            return time.monotonic() + policy.task_timeout
+        def dispatch(worker: _Worker) -> None:
+            worker.tid = queue.popleft()
+            worker.conn.send(tasks[worker.tid])
+            if policy.task_timeout:
+                worker.deadline = time.monotonic() + policy.task_timeout
 
         def charge(tid: int, reason: str, error: str) -> Iterator[TaskFailure]:
             """Count one failed attempt; schedule a retry or yield the failure."""
@@ -374,124 +391,69 @@ class ParallelExecutor:
             else:
                 yield failure
 
-        def respawn_pool() -> ProcessPoolExecutor:
-            nonlocal respawns
-            respawns += 1
-            if respawns > respawn_cap:
-                raise ReproError(
-                    f"worker pool broke {respawns} times; giving up "
-                    "(harness failure, not a target failure)"
-                )
-            return ProcessPoolExecutor(max_workers=self.max_workers)
-
-        def settle_broken_pool(extra_victim: int | None = None) -> Iterator[TaskFailure]:
-            """The pool died: blame what can be blamed, re-fly the rest solo."""
-            victims = sorted(flights.values(), key=lambda f: f.tid)
-            flights.clear()
-            if extra_victim is not None:
-                queue.appendleft(extra_victim)
-            for flight in victims:
-                tid = flight.tid
-                if flight.solo and tid in expired:
-                    expired.discard(tid)
-                    yield from charge(
-                        tid,
-                        "timeout",
-                        "worker exceeded the wall-clock deadline "
-                        f"({policy.task_timeout}s per task)",
-                    )
-                elif flight.solo:
-                    # Flying alone: this task killed its worker, full stop.
-                    yield from charge(
-                        tid, "worker-death",
-                        "worker process died before finishing (broken pool)",
-                    )
-                else:
-                    # A shared flight proves nothing — a task queued behind
-                    # a hung or dying neighbour shares its wall-clock.  Only
-                    # a *solo* expiry or death is charged; everyone else is
-                    # re-flown alone, uncharged.
-                    expired.discard(tid)
-                    suspects.append(tid)
-
-        pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
-            while queue or suspects or delayed or flights:
+            while queue or delayed or any(w.tid is not None for w in workers):
                 now = time.monotonic()
-                if delayed:
-                    due = [entry for entry in delayed if entry[0] <= now]
-                    for entry in due:
-                        delayed.remove(entry)
-                        queue.append(entry[1])
-                # Submission: while suspects exist, fly exactly one task at
-                # a time (exact blame); otherwise fan the queue out.
-                broken_on_submit: int | None = None
-                try:
-                    if suspects:
-                        if not flights:
-                            tid = suspects.popleft()
-                            flights[pool.submit(execute_task, tasks[tid])] = (
-                                _Flight(tid, deadline(), solo=True)
-                            )
-                    elif queue:
-                        while queue:
-                            tid = queue.popleft()
-                            flights[pool.submit(execute_task, tasks[tid])] = (
-                                _Flight(tid, deadline(), solo=False)
-                            )
-                except BrokenProcessPool:
-                    broken_on_submit = tid
-                if broken_on_submit is not None:
-                    yield from settle_broken_pool(extra_victim=broken_on_submit)
-                    pool = respawn_pool()
-                    continue
-                if not flights:
-                    if delayed:  # everything left is backing off; sleep it out
-                        time.sleep(
-                            max(0.0, min(r for r, _ in delayed) - time.monotonic())
-                        )
-                    continue
-                timeout = None
-                wakeups = [f.deadline for f in flights.values() if f.deadline]
+                for entry in [entry for entry in delayed if entry[0] <= now]:
+                    delayed.remove(entry)
+                    queue.append(entry[1])
+                for worker in workers:
+                    if queue and worker.tid is None:
+                        dispatch(worker)
+                while queue and len(workers) < limit:
+                    workers.append(_Worker())
+                    dispatch(workers[-1])
+                busy = [w for w in workers if w.tid is not None]
+                wakeups = [w.deadline for w in busy if w.deadline is not None]
                 wakeups += [ready for ready, _ in delayed]
+                timeout = None
                 if wakeups:
-                    timeout = max(0.01, min(wakeups) - time.monotonic())
-                done, _ = wait(
-                    list(flights), timeout=timeout, return_when=FIRST_COMPLETED
+                    timeout = max(0.0, min(wakeups) - time.monotonic())
+                # With nothing in flight this just sleeps out the backoff.
+                ready = wait(
+                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                    timeout,
                 )
-                broken = False
-                for future in done:
-                    flight = flights.pop(future)
-                    try:
-                        output = future.result()
-                    except BrokenProcessPool:
-                        flights[future] = flight  # hand back for settlement
-                        broken = True
-                        # Keep draining ``done``: a sibling that *completed*
-                        # in the same batch must be yielded, not re-flown.
-                        continue
-                    except Exception as exc:  # the task raised in its worker
-                        yield from charge(flight.tid, "exception", format_error(exc))
-                    else:
-                        expired.discard(flight.tid)
-                        yield output
-                if broken:
-                    yield from settle_broken_pool()
-                    pool = respawn_pool()
-                    continue
-                # Watchdog: kill the pool under tasks that blew their
-                # wall-clock deadline; the break is settled next iteration.
                 now = time.monotonic()
-                hung = [
-                    f for f in flights.values() if f.deadline and f.deadline <= now
-                ]
-                if hung:
-                    for flight in hung:
-                        expired.add(flight.tid)
-                    _kill_pool_processes(pool)
+                for worker in busy:
+                    tid = worker.tid
+                    died = worker.process.sentinel in ready
+                    if worker.conn.poll():
+                        try:
+                            ok, payload = worker.conn.recv()
+                        except EOFError:
+                            died = True
+                        else:
+                            worker.tid = worker.deadline = None
+                            if ok:
+                                yield payload
+                            else:
+                                yield from charge(tid, "exception", payload)
+                            continue
+                    overdue = worker.deadline is not None and worker.deadline <= now
+                    if not (died or overdue):
+                        continue  # still running
+                    worker.stop()
+                    workers.remove(worker)
+                    if died:
+                        yield from charge(
+                            tid,
+                            "worker-death",
+                            "worker process died before finishing "
+                            f"(exit code {worker.process.exitcode})",
+                        )
+                    else:
+                        yield from charge(
+                            tid,
+                            "timeout",
+                            "worker exceeded the wall-clock deadline "
+                            f"({policy.task_timeout}s per task)",
+                        )
         finally:
-            # Never block on a wedged worker during unwind (SIGINT included).
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Idle workers exit on request; busy ones (Ctrl-C, a closed
+            # generator, an aborting campaign) are killed, never waited for.
+            for worker in workers:
+                worker.stop()
 
 
 Executor = SerialExecutor | ParallelExecutor

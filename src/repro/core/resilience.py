@@ -27,7 +27,7 @@ containing failures still produce byte-identical ``results.csv`` files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.outcomes import Outcome, OutcomeRecord
 from repro.errors import ReproError
@@ -51,7 +51,8 @@ class RetryPolicy:
     ``backoff_max`` and stretched by up to ``jitter`` (a fraction) using a
     generator seeded from ``(seed, task index, attempt)`` — deterministic,
     but de-synchronised across tasks.  ``task_timeout`` is the parent-side
-    wall-clock deadline (seconds) per task; it complements the in-sim
+    wall-clock deadline (seconds) per task, counted from when a worker
+    receives the task (never while it waits); it complements the in-sim
     instruction budget by catching workers that hang *outside* simulated
     execution.  ``on_failure`` decides what happens after the final
     attempt: ``"quarantine"`` (synthesize a DUE, keep going — the default)
@@ -111,8 +112,9 @@ class TaskFailure:
     """An injection task that failed all its attempts in the harness.
 
     ``reason`` is one of ``"exception"`` (the task raised in its worker),
-    ``"worker-death"`` (the worker process died and broke the pool) or
-    ``"timeout"`` (the parent-side wall-clock deadline expired).  ``error``
+    ``"worker-death"`` (the worker process died while running the task) or
+    ``"timeout"`` (the parent-side wall-clock deadline, counted from when
+    the worker received the task, expired).  ``error``
     is the formatted terminal error.  Executors yield these in place of an
     :class:`~repro.core.engine.InjectionOutput`; the engine quarantines or
     raises according to the :class:`RetryPolicy`.
@@ -122,14 +124,6 @@ class TaskFailure:
     attempts: int
     error: str
     reason: str = "exception"
-
-
-@dataclass
-class FailureLog:
-    """Per-campaign record of retries and quarantines (engine-owned)."""
-
-    retries: list[TaskFailure] = field(default_factory=list)
-    quarantined: list[TaskFailure] = field(default_factory=list)
 
 
 def quarantine_outcome(failure: TaskFailure) -> OutcomeRecord:

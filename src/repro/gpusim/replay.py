@@ -694,8 +694,10 @@ def _peek_content_hash(path: str | os.PathLike) -> str | None:
 # header-embedded content digest, so an overwritten log is reloaded even
 # when the rewrite preserves mtime and size (e.g. a golden re-run after a
 # workload edit restored with ``os.utime``) — never served stale.
+# No lock: dict get, clear and set are each atomic under the GIL, and two
+# threads racing on a miss only load the log twice.  A lock held by one
+# thread while another forks would stay held forever in the child.
 _LOG_CACHE: dict[tuple[str, int, int, str | None], ReplayLog] = {}
-_LOG_CACHE_LOCK = threading.Lock()
 
 
 def load_replay_log(path: str | os.PathLike) -> ReplayLog:
@@ -707,14 +709,12 @@ def load_replay_log(path: str | os.PathLike) -> ReplayLog:
         stat.st_size,
         _peek_content_hash(path),
     )
-    with _LOG_CACHE_LOCK:
-        cached = _LOG_CACHE.get(key)
-        if cached is not None:
-            return cached
+    cached = _LOG_CACHE.get(key)
+    if cached is not None:
+        return cached
     log = _read_replay_log(path)
-    with _LOG_CACHE_LOCK:
-        _LOG_CACHE.clear()  # at most one live log per worker process
-        _LOG_CACHE[key] = log
+    _LOG_CACHE.clear()  # at most one live log per worker process
+    _LOG_CACHE[key] = log
     return log
 
 

@@ -1,11 +1,21 @@
 """CLI tests (`python -m repro ...`)."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.cli import main
 from repro.core.params import TransientParams
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+_PERMANENT = ["campaign", "314.omriq", "--injections", "4", "--seed", "7",
+              "--permanent"]
 
 
 class TestList:
@@ -232,6 +242,66 @@ class TestCampaignCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "permanent injections" in out
+
+    def test_permanent_report_prints_percentages(self, capsys):
+        # The permanent tally is weighted (it sums to ~1), so the report
+        # needs the run count to print percentages instead of n/a.
+        assert main(_PERMANENT) == 0
+        out = capsys.readouterr().out
+        report = out.split("permanent injections")[1]
+        assert "n/a" not in report
+        assert re.search(r"SDC=\d+\.\d%", report)
+
+    def test_summary_counts_both_campaigns(self, capsys):
+        assert main(_PERMANENT) == 0
+        captured = capsys.readouterr()
+        transient, permanent = (
+            int(n) for n in re.findall(r"(\d+) \w+ injections", captured.out)
+        )
+        total = transient + permanent
+        assert f"ran={total}/{total} " in captured.err
+
+    @pytest.mark.slow
+    def test_permanent_campaign_uses_the_workers(self, capsys):
+        assert main(_PERMANENT) == 0
+        serial = capsys.readouterr().out
+        assert main([*_PERMANENT, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.slow
+    def test_sigint_to_parallel_campaign_exits_cleanly(self, tmp_path):
+        # Ctrl-C reaches the whole process group: the workers must ignore
+        # it (no worker tracebacks) and the parent must checkpoint, write a
+        # partial results.csv and exit 130.
+        store = tmp_path / "study"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "370.bt",
+             "--injections", "200", "--seed", "7", "--workers", "2",
+             "--store", str(store), "--progress"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        try:
+            seen = []
+            for line in proc.stderr:
+                seen.append(line)
+                if line.lstrip().startswith("[2/"):
+                    break
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        err = "".join(seen) + err
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert "interrupted" in err
+        rows = (store / "results.csv").read_text().splitlines()
+        assert 1 + 2 <= len(rows) < 1 + 200
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError, match="unknown workload"):

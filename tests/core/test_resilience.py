@@ -65,7 +65,7 @@ class ChaosOMriq(OMriq):
             # escapes the sandbox and kills the injection task itself.
             raise RuntimeError("chaos: corrupted device output")
         if mode == "exit":
-            os._exit(23)  # hard worker death: breaks the whole pool
+            os._exit(23)  # hard worker death, mid-task
         if mode == "hang":
             while True:  # hangs *outside* simulated execution: only the
                 time.sleep(0.05)  # parent-side wall-clock deadline sees it
@@ -88,13 +88,28 @@ class FlakyOMriq(OMriq):
         super().run(ctx)
 
 
+class SleepyOMriq(OMriq):
+    """Sleeps 0.4 s in host code per run and records the running process."""
+
+    name = "999.sleepy"
+    description = "OMriq variant that records os.getpid() and sleeps"
+
+    def run(self, ctx) -> None:
+        (Path(ctx.getenv("PID_DIR")) / str(os.getpid())).touch()
+        time.sleep(0.4)
+        super().run(ctx)
+
+
+_TEST_WORKLOADS = (ChaosOMriq, FlakyOMriq, SleepyOMriq)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _register_chaos_workloads():
-    WORKLOADS[ChaosOMriq.name] = ChaosOMriq
-    WORKLOADS[FlakyOMriq.name] = FlakyOMriq
+    for workload in _TEST_WORKLOADS:
+        WORKLOADS[workload.name] = workload
     yield
-    WORKLOADS.pop(ChaosOMriq.name, None)
-    WORKLOADS.pop(FlakyOMriq.name, None)
+    for workload in _TEST_WORKLOADS:
+        WORKLOADS.pop(workload.name, None)
 
 
 def _chaos_config(mode: str, retry: RetryPolicy, num: int = _N):
@@ -375,7 +390,7 @@ class TestParallelFailures:
             "raise",
             retry,
             CampaignStore(tmp_path / "parallel"),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
         )
         assert len(parallel.results) == _N
         assert len(_quarantined(parallel)) == _K
@@ -386,17 +401,17 @@ class TestParallelFailures:
         )
 
     def test_hard_worker_death_is_quarantined_not_fatal(self, tmp_path):
-        # os._exit in a worker breaks the whole pool; the executor must
-        # respawn it, re-fly the innocent in-flight chunks uncharged, and
-        # quarantine exactly the chunks that die when flown solo — ending
-        # byte-identical to the serial campaign where the same tasks raise.
+        # os._exit in a worker charges exactly the task it held; the
+        # executor replaces that one worker, the others keep running, and
+        # the campaign ends byte-identical to the serial one where the same
+        # tasks raise.
         retry = RetryPolicy(max_attempts=2, **_FAST_RETRY)
         _, _ = _run_chaos("raise", retry, CampaignStore(tmp_path / "serial"))
         engine, result = _run_chaos(
             "exit",
             retry,
             CampaignStore(tmp_path / "death"),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
         )
         assert len(result.results) == _N
         assert len(_quarantined(result)) == _K
@@ -423,7 +438,7 @@ class TestParallelFailures:
         engine = CampaignEngine(
             ChaosOMriq.name,
             _chaos_config("hang", retry, num=_N_SMALL),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
             store=CampaignStore(tmp_path / "hang"),
             tracer=Tracer(sink=sink),
         )
@@ -440,13 +455,38 @@ class TestParallelFailures:
             == (tmp_path / "serial" / "results.csv").read_bytes()
         )
 
+    def test_deadline_counts_from_dispatch_not_submission(self, tmp_path):
+        # Six 0.4 s tasks queue behind one worker: 2.4 s in all, but no
+        # single task comes near the 1 s deadline, so none may time out and
+        # the one worker must run every task.
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        retry = RetryPolicy(max_attempts=3, task_timeout=1.0, **_FAST_RETRY)
+        engine = CampaignEngine(
+            SleepyOMriq.name,
+            repro.CampaignConfig(
+                workload=SleepyOMriq.name,
+                num_transient=6,
+                seed=_SEED,
+                sandbox=SandboxConfig(extra_env={"PID_DIR": str(pid_dir)}),
+                retry=retry,
+            ),
+            executor=ParallelExecutor(max_workers=1),
+        )
+        result = engine.run_transient()
+        worker_pids = {int(p.name) for p in pid_dir.iterdir()} - {os.getpid()}
+        assert len(result.results) == 6
+        assert len(worker_pids) == 1
+        assert engine.metrics.retries == 0
+        assert engine.metrics.quarantined == 0
+
     def test_parallel_trace_events_sum_to_tally_with_quarantines(self, tmp_path):
         retry = RetryPolicy(max_attempts=2, **_FAST_RETRY)
         sink = MemorySink()
         engine = CampaignEngine(
             ChaosOMriq.name,
             _chaos_config("raise", retry),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
             tracer=Tracer(sink=sink),
         )
         result = engine.run_transient()
