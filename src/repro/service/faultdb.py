@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import sqlite3
 import tempfile
@@ -153,6 +154,40 @@ def fault_fingerprint(
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
+#: Every open :class:`FaultDB` in this process, and the lock that covers
+#: opening one.  A fork that lands while another thread is inside SQLite
+#: copies SQLite's process-wide mutexes into the child still locked, and
+#: the child's first ``sqlite3.connect`` then waits on a futex forever
+#: (``repro serve`` forks scheduler workers from one coordinator thread
+#: while other threads poll the database).  So a fork first waits until
+#: no thread of this process is inside SQLite: it takes the open lock and
+#: every database's connection lock, and drops them on both sides.
+_OPEN_LOCK = threading.Lock()
+_OPEN_DBS: "weakref.WeakSet[FaultDB]" = weakref.WeakSet()
+_HELD_FOR_FORK: list[threading.Lock] = []
+
+
+def _hold_sqlite_for_fork() -> None:
+    _OPEN_LOCK.acquire()
+    _HELD_FOR_FORK.extend(db._lock for db in list(_OPEN_DBS))
+    for lock in _HELD_FOR_FORK:
+        lock.acquire()
+
+
+def _release_sqlite_after_fork() -> None:
+    for lock in _HELD_FOR_FORK:
+        lock.release()
+    _HELD_FOR_FORK.clear()
+    _OPEN_LOCK.release()
+
+
+os.register_at_fork(
+    before=_hold_sqlite_for_fork,
+    after_in_parent=_release_sqlite_after_fork,
+    after_in_child=_release_sqlite_after_fork,
+)
+
+
 class FaultDB:
     """One SQLite fault database, shared by every campaign and worker.
 
@@ -183,10 +218,12 @@ class FaultDB:
         # (BEGIN IMMEDIATE in lease_unit and the batch inserts), never
         # implicitly opened by the driver — the implicit mode would leave a
         # transaction dangling across the lease's own BEGIN.
-        self._conn = sqlite3.connect(
-            str(self.path), check_same_thread=False, isolation_level=None
-        )
-        self._lock = threading.Lock()
+        with _OPEN_LOCK:
+            self._conn = sqlite3.connect(
+                str(self.path), check_same_thread=False, isolation_level=None
+            )
+            self._lock = threading.Lock()
+            _OPEN_DBS.add(self)
         with self._lock:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA busy_timeout=30000")

@@ -203,6 +203,46 @@ def _process_writer(db_path: str, campaign_id: str, index: int) -> None:
         db.save_transient_outcome(campaign_id, index, donor)
 
 
+def test_fork_while_another_thread_queries_can_open_the_db(db):
+    """A fork never hands the child SQLite's process-wide mutexes locked.
+
+    ``repro serve`` forks scheduler workers from one coordinator thread
+    while other threads query the database.  A fork that lands while a
+    thread is inside SQLite used to leave the child's first
+    ``sqlite3.connect`` blocked on a futex forever.
+    """
+    import multiprocessing
+
+    db.create_campaign("busy", make_config())
+    stop = threading.Event()
+
+    def poll():
+        while not stop.is_set():
+            db.completed_injections("busy")
+            db.has_runnable_unit("busy")
+
+    poller = threading.Thread(target=poll, daemon=True)
+    poller.start()
+    context = multiprocessing.get_context("fork")
+    try:
+        for _ in range(40):
+            proc = context.Process(target=_open_and_list, args=(str(db.path),))
+            proc.start()
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            assert proc.exitcode == 0
+    finally:
+        stop.set()
+        poller.join()
+
+
+def _open_and_list(db_path: str) -> None:
+    with FaultDB(db_path) as db:
+        assert [row["campaign_id"] for row in db.list_campaigns()] == ["busy"]
+
+
 def test_campaign_lifecycle_rows(db):
     db.create_campaign("c", make_config())
     row = db.campaign_row("c")
